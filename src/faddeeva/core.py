@@ -24,6 +24,10 @@ DEFAULT_N = 11
 # distance guard for non-dispatched calls to the raw rules
 _POLE_GUARD = 1e-3
 
+# points per block of the evaluation pass: a block's input, output and
+# complex temporaries stay in L2 (chosen from a sweep of block sizes)
+_BLOCK = 16384
+
 # toggled by tests; the dispatcher then verifies the node-distance guarantee
 CHECK_NODE_DISTANCE = False
 
@@ -40,9 +44,14 @@ def frac_part(t):
     return float(out) if out.ndim == 0 else out
 
 
+def _is_order(n) -> bool:
+    """An integer in [0, N_MAX]; bool is an int subclass but not an order."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and 0 <= n <= N_MAX
+
+
 def step_size(n: int) -> float:
     """Quadrature step sqrt(pi/(N+1)) for order N."""
-    if not (isinstance(n, (int, np.integer)) and 0 <= n <= N_MAX):
+    if not _is_order(n):
         raise ParameterError(f"order must be an integer in [0, {N_MAX}], got {n!r}")
     return math.sqrt(math.pi / (n + 1))
 
@@ -63,7 +72,7 @@ class EvalParams:
     h: float
 
     def __post_init__(self):
-        if not (isinstance(self.n, (int, np.integer)) and 0 <= self.n <= N_MAX):
+        if not _is_order(self.n):
             raise ParameterError(f"order must be in [0, {N_MAX}], got {self.n!r}")
         if self.h != step_size(self.n):
             raise ParameterError("h must equal sqrt(pi/(N+1)) in binary64")
@@ -93,7 +102,7 @@ def _node_data(n: int):
 
 def _as_xy(z):
     z = np.asarray(z, dtype=np.complex128)
-    if np.any(np.isnan(z.real)) or np.any(np.isnan(z.imag)):
+    if np.isnan(z).any():
         raise DomainError("NaN component in complex argument")
     return z
 
@@ -102,39 +111,61 @@ def _scalar_out(res, scalar):
     return complex(res) if scalar else res
 
 
-def _mid_sum_raw(z, p: EvalParams):
+def _pole_sum(z2, nodes, weights):
+    """sum_k weights_k/(z^2 - nodes_k^2), accumulated from the last node."""
+    s = np.zeros_like(z2)
+    d = np.empty_like(z2)
+    for k in range(nodes.size - 1, -1, -1):
+        np.subtract(z2, nodes[k] * nodes[k], out=d)
+        np.divide(weights[k], d, out=d)
+        s += d
+    return s
+
+
+def _mid_sum_raw(z, p: EvalParams, z2):
     """(2ihz/pi) * sum_k exp(-t_k^2)/(z^2 - t_k^2), accumulated k = N..0."""
     t, et, _, _ = _node_data(p.n)
-    z2 = z * z
-    s = np.zeros_like(z)
-    for k in range(p.n, -1, -1):
-        s = s + et[k] / (z2 - t[k] * t[k])
-    return (2j * p.h / np.pi) * z * s
+    return (2j * p.h / np.pi) * z * _pole_sum(z2, t, et)
 
 
-def _trap_sum_raw(z, p: EvalParams):
+def _trap_sum_raw(z, p: EvalParams, z2):
     """ih/(pi z) + (2ihz/pi) * sum_{k=1}^N exp(-tau_k^2)/(z^2 - tau_k^2)."""
     _, _, tau, etau = _node_data(p.n)
-    z2 = z * z
-    s = np.zeros_like(z)
-    for k in range(p.n - 1, -1, -1):
-        s = s + etau[k] / (z2 - tau[k] * tau[k])
-    return 1j * p.h / (np.pi * z) + (2j * p.h / np.pi) * z * s
+    return 1j * p.h / (np.pi * z) + (2j * p.h / np.pi) * z * _pole_sum(z2, tau, etau)
 
 
-def _corrections(z, p: EvalParams):
-    """Residue corrections 2 e^{-z^2}/(1 +- e^{-2 i pi z / h}).
+def _corrections(z, p: EvalParams, z2, tag: BranchTag):
+    """Residue correction 2 e^{-z^2}/(1 +- e^{-2 i pi z / h}) of an MM or MT point.
 
-    Both are evaluated through q = e^{2 i pi z / h}, which has modulus <= 1
+    It is evaluated through q = e^{2 i pi z / h}, which has modulus <= 1
     for Im(z) >= 0, so the exponential never overflows:
     the MM correction is 2 e^{-z^2} q/(1+q), the MT one 2 e^{-z^2} q/(q-1).
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        ez2 = np.exp(-(z * z))
-        q = np.exp(2j * np.pi * z / p.h)
-        corr_mm = 2.0 * ez2 * q / (1.0 + q)
-        corr_mt = 2.0 * ez2 * q / (q - 1.0)
-    return corr_mm, corr_mt
+        ez2 = np.negative(z2)
+        np.exp(ez2, out=ez2)
+        q = 2j * np.pi * z
+        q /= p.h
+        np.exp(q, out=q)
+        # a complex multiply gets a fresh output: with the output aliasing an
+        # input, numpy takes another inner loop for length-1 arrays, and the
+        # last bit of the product differs
+        num = 2.0 * ez2 * q
+        if tag is BranchTag.MT:
+            q -= 1.0
+        else:
+            q += 1.0
+        num /= q
+    return num
+
+
+def _rule(z, p: EvalParams, tag: BranchTag):
+    """The quadrature formula ``tag`` on points z of the closed first quadrant."""
+    z2 = z * z
+    if tag is BranchTag.MT:
+        return _trap_sum_raw(z, p, z2) + _corrections(z, p, z2, tag)
+    s = _mid_sum_raw(z, p, z2)
+    return s if tag is BranchTag.M else s + _corrections(z, p, z2, tag)
 
 
 def w_mid_sum(z, p: EvalParams):
@@ -145,7 +176,7 @@ def w_mid_sum(z, p: EvalParams):
     dmin = np.min(np.abs(np.abs(z.reshape(-1, 1).real) + 1j * z.reshape(-1, 1).imag - t), axis=1)
     if np.any(dmin < p.h * _POLE_GUARD):
         raise PoleProximityError("argument within h/1000 of a midpoint node")
-    return _scalar_out(_mid_sum_raw(z, p), scalar)
+    return _scalar_out(_rule(np.atleast_1d(z), p, BranchTag.M).reshape(z.shape), scalar)
 
 
 def w_mod_mid(z, p: EvalParams):
@@ -154,8 +185,7 @@ def w_mod_mid(z, p: EvalParams):
     scalar = z.ndim == 0
     if np.any(z.real < 0) or np.any(z.imag < 0):
         raise DomainError("w_mod_mid requires Re(z) >= 0 and Im(z) >= 0")
-    corr_mm, _ = _corrections(z, p)
-    return _scalar_out(_mid_sum_raw(z, p) + corr_mm, scalar)
+    return _scalar_out(_rule(np.atleast_1d(z), p, BranchTag.MM).reshape(z.shape), scalar)
 
 
 def w_mod_trap(z, p: EvalParams):
@@ -166,15 +196,16 @@ def w_mod_trap(z, p: EvalParams):
         raise PoleProximityError("argument within h/1000 of the origin pole")
     if np.any(z.real <= 0):
         raise DomainError("w_mod_trap requires Re(z) > 0")
-    _, corr_mt = _corrections(z, p)
-    return _scalar_out(_trap_sum_raw(z, p) + corr_mt, scalar)
+    return _scalar_out(_rule(np.atleast_1d(z), p, BranchTag.MT).reshape(z.shape), scalar)
 
 
 def _branch_masks(x, y, p: EvalParams):
     pi_over_h = np.pi / p.h
     m = y >= np.maximum(x, pi_over_h)
-    phi = (x / p.h) - np.floor(x / p.h)
-    mt = (~m) & (y < x) & (phi >= 0.25) & (phi <= 0.75)
+    xh = x / p.h
+    phi = xh - np.floor(xh)
+    # y < x already excludes m
+    mt = (y < x) & (phi >= 0.25) & (phi <= 0.75)
     mm = ~(m | mt)
     return m, mt, mm
 
@@ -216,66 +247,98 @@ def min_node_distance(z, p: EvalParams):
     return float(out[0]) if scalar else out.reshape(z.shape)
 
 
+def _quadrant1_block(zq, p: EvalParams, out):
+    """Write w_N(zq) into ``out`` for one block of first-quadrant points."""
+    if CHECK_NODE_DISTANCE:
+        assert np.all(min_node_distance(zq, p) >= p.h / 4 - 1e-12 * p.h)
+    masks = _branch_masks(zq.real, zq.imag, p)
+    for tag, sel in zip((BranchTag.M, BranchTag.MT, BranchTag.MM), masks):
+        # index arrays gather and scatter several times faster than masks
+        idx = np.flatnonzero(sel)
+        if idx.size == zq.size:
+            out[...] = _rule(zq, p, tag)
+        elif idx.size:
+            out[idx] = _rule(zq[idx], p, tag)
+
+
+def _reflect(zl, wneg):
+    """w(z) = 2 e^{-z^2} - w(-z) for Im(z) < 0, given wneg = w(-z).
+
+    The true function grows like exp(y^2 - x^2) there, so e^{-z^2} is
+    assembled componentwise: an overflowing magnitude then yields signed
+    infinities, where a complex product would give 0*inf NaNs.
+    """
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        a = -(zl * zl)
+        mag = np.exp(a.real)
+        sin = np.sin(a.imag)
+        re = 2.0 * mag * np.cos(a.imag) - wneg.real
+        # sin(0) is exactly 0, also when mag has overflowed
+        im = np.where(a.imag == 0.0, sin, 2.0 * mag * sin) - wneg.imag
+    out = np.empty_like(wneg)
+    # the signed zeros of the complex sum re + 1j*im, without its 0*inf NaN
+    out.real = re + np.copysign(0.0, im)
+    out.imag = im + 0.0
+    return out
+
+
+def _evaluate(z, p: EvalParams, plane: bool):
+    """w_N on validated points, in blocks of _BLOCK points.
+
+    With ``plane`` false the points lie in the closed first quadrant and
+    are evaluated as given.  With ``plane`` true each point is folded to
+    |x| + i|y|, evaluated there, and mapped back: conjugated for x < 0 in
+    the upper half-plane, reflected through w(z) = 2 e^{-z^2} - w(-z) in the
+    lower one.  Only one block's temporaries are alive at a time.
+    """
+    zf = z.reshape(-1)
+    out = np.empty_like(zf)
+    for i in range(0, zf.size, _BLOCK):
+        zb = zf[i:i + _BLOCK]
+        ob = out[i:i + _BLOCK]
+        if not plane:
+            _quadrant1_block(zb, p, ob)
+            continue
+        x, y = zb.real, zb.imag
+        if np.isinf(y).any():
+            # the rules give NaNs there; refuse rather than return them
+            raise DomainError("infinite imaginary part in complex argument")
+        zq = np.empty_like(zb)
+        np.abs(x, out=zq.real)
+        np.abs(y, out=zq.imag)
+        _quadrant1_block(zq, p, ob)
+        # w(-conj z) = conj w(z), through z itself above the real axis and
+        # through -z below it
+        lower = np.flatnonzero(y < 0)
+        conj = x < 0
+        conj[lower] = x[lower] > 0
+        if conj.any():
+            np.negative(ob.imag, out=ob.imag, where=conj)
+        if lower.size:
+            ob[lower] = _reflect(zb[lower], ob[lower])
+    return out.reshape(z.shape)
+
+
 def w_quadrant1(z, p: EvalParams = None):
     """w_N(z) on the closed first quadrant via the three-formula dispatch."""
     if p is None:
         p = EvalParams.for_order()
     z = _as_xy(z)
-    scalar = z.ndim == 0
-    zf = np.atleast_1d(z).ravel()
-    x, y = zf.real, zf.imag
-    if np.any(x < 0) or np.any(y < 0):
+    if np.any(z.real < 0) or np.any(z.imag < 0):
         raise DomainError("w_quadrant1 requires the closed first quadrant")
-    if CHECK_NODE_DISTANCE:
-        assert np.all(min_node_distance(zf, p) >= p.h / 4 - 1e-12 * p.h)
-    m, mt, mm = _branch_masks(x, y, p)
-    out = np.empty_like(zf)
-    if np.any(m):
-        out[m] = _mid_sum_raw(zf[m], p)
-    if np.any(mt):
-        corr = _corrections(zf[mt], p)[1]
-        out[mt] = _trap_sum_raw(zf[mt], p) + corr
-    if np.any(mm):
-        corr = _corrections(zf[mm], p)[0]
-        out[mm] = _mid_sum_raw(zf[mm], p) + corr
-    out = out.reshape(np.shape(z))
-    return _scalar_out(out, scalar)
+    return _scalar_out(_evaluate(z, p, plane=False), z.ndim == 0)
 
 
 def w_plane(z, p: EvalParams = None):
     """w_N(z) on the whole complex plane via the quadrant symmetries.
 
     For Im(z) < 0 the true function grows like exp(y^2 - x^2) and the
-    result overflows to infinity once that exceeds binary64 range.
+    result overflows to a signed infinity once that exceeds binary64 range.
     """
     if p is None:
         p = EvalParams.for_order()
     z = _as_xy(z)
-    scalar = z.ndim == 0
-    zf = np.atleast_1d(z).ravel()
-    out = np.empty_like(zf)
-    upper = zf.imag >= 0
-    if np.any(upper):
-        zu = zf[upper]
-        # evaluate at (|x|, y); conjugate where x < 0 (bit-for-bit symmetry)
-        q1 = w_quadrant1(np.abs(zu.real) + 1j * zu.imag, p)
-        out[upper] = np.where(zu.real < 0, np.conj(q1), q1)
-    lower = ~upper
-    if np.any(lower):
-        zl = zf[lower]
-        zn = -zl
-        q1 = w_quadrant1(np.abs(zn.real) + 1j * zn.imag, p)
-        wneg = np.where(zn.real < 0, np.conj(q1), q1)
-        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            # assemble 2 exp(-z^2) componentwise so that an overflowing
-            # magnitude yields signed infinities instead of 0*inf NaNs
-            a = -(zl * zl)
-            mag = np.exp(a.real)
-            out[lower] = (2.0 * mag * np.cos(a.imag) - wneg.real) + 1j * (
-                2.0 * mag * np.sin(a.imag) - wneg.imag
-            )
-    out = out.reshape(np.shape(z))
-    return _scalar_out(out, scalar)
+    return _scalar_out(_evaluate(z, p, plane=True), z.ndim == 0)
 
 
 def erfc_c(z, p: EvalParams = None):

@@ -51,6 +51,11 @@ class TestStepSize:
         with pytest.raises(ParameterError):
             core.step_size(n)
 
+    @pytest.mark.parametrize("n", [True, False])
+    def test_bool_rejected(self, n):
+        with pytest.raises(ParameterError):
+            core.step_size(n)
+
 
 class TestEvalParams:
     def test_nodes(self):
@@ -61,6 +66,13 @@ class TestEvalParams:
     def test_wrong_h_rejected(self):
         with pytest.raises(ParameterError):
             core.EvalParams(n=11, h=0.5)
+
+    @pytest.mark.parametrize("n", [True, False])
+    def test_bool_rejected(self, n):
+        with pytest.raises(ParameterError):
+            core.EvalParams.for_order(n)
+        with pytest.raises(ParameterError):
+            core.EvalParams(n=n, h=core.step_size(int(n)))
 
 
 class TestMidSum:
@@ -178,8 +190,18 @@ class TestPlane:
         assert a == np.conj(b)
 
     def test_lower_half_overflow(self):
-        v = core.w_plane(1 - 30j, P11)
-        assert np.isinf(v.real) or np.isinf(v.imag)
+        from scipy.special import wofz
+
+        z = np.array([1 - 30j, -30j, -1 - 30j, 0.5 - 27j, -3 - 40j, 20 - 50j])
+        v = core.w_plane(z, P11)
+        ref = wofz(z)
+        assert not np.any(np.isnan(v.real) | np.isnan(v.imag))
+        assert np.all(np.isinf(v.real) | np.isinf(v.imag))
+        for part in (np.real, np.imag):
+            np.testing.assert_array_equal(np.isinf(part(v)), np.isinf(part(ref)))
+            np.testing.assert_array_equal(np.sign(part(v)), np.sign(part(ref)))
+        assert core.w_plane(-30j, P11) == complex(np.inf, 0.0)
+        assert core.w_plane(1 - 30j, P11) == complex(-np.inf, -np.inf)
 
     def test_nan_rejected(self):
         with pytest.raises(DomainError):
@@ -193,6 +215,62 @@ class TestPlane:
     def test_conjugate_symmetry_property(self, x, y):
         z = complex(x, y)
         assert core.w_plane(-np.conj(z), P11) == np.conj(core.w_plane(z, P11))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint8).tobytes()
+
+
+class TestBlocks:
+    """The evaluation runs in blocks of core._BLOCK points; no block edge
+    may change a result."""
+
+    B = core._BLOCK
+
+    @staticmethod
+    def _mixed(n, seed=0):
+        rng = np.random.default_rng(seed)
+        mag = 10.0 ** rng.uniform(-3, 1.5, n)
+        return mag * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+
+    @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 2 * B + 3])
+    def test_sizes_match_pieces(self, n):
+        z = self._mixed(n)
+        out = core.w_plane(z, P11)
+        assert out.shape == z.shape
+        cuts = [0, 1, self.B - 1, self.B + 2, n]
+        pieces = [core.w_plane(z[a:b], P11) for a, b in zip(cuts, cuts[1:]) if a < b]
+        assert _bits(out) == _bits(np.concatenate([np.empty(0, complex)] + pieces))
+        q = np.abs(z.real) + 1j * np.abs(z.imag)
+        scalars = [core.w_quadrant1(complex(v), P11) for v in q[:: max(1, n // 50)]]
+        assert _bits(core.w_quadrant1(q, P11)[:: max(1, n // 50)]) == _bits(np.array(scalars))
+
+    def test_quadrants_interleaved_across_edge(self):
+        base = np.array([1.5 + 0.7j, 3.3 + 0.1j, 0.2 + 8.0j, 7.0 + 2.0j])
+        signs = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j])
+        k = np.arange(2 * self.B + 3)
+        z = base[(k // 4) % 4] * (1.0 + 1e-3 * k / self.B)
+        z = z.real * signs[k % 4].real + 1j * z.imag * signs[k % 4].imag
+        out = core.w_plane(z, P11)
+        edge = slice(self.B - 8, self.B + 8)
+        pieces = np.concatenate([core.w_plane(z[: self.B], P11), core.w_plane(z[self.B :], P11)])
+        assert _bits(out) == _bits(pieces)
+        singles = np.array([core.w_plane(complex(v), P11) for v in z[edge]])
+        assert _bits(out[edge]) == _bits(singles)
+
+    def test_shapes(self):
+        z = self._mixed(7 * (2 * self.B // 7 + 5)).reshape(-1, 7)
+        out = core.w_plane(z, P11)
+        assert out.shape == z.shape
+        assert _bits(out) == _bits(core.w_plane(z.ravel(), P11))
+        cols = core.w_plane(np.asfortranarray(z), P11)
+        assert _bits(cols) == _bits(out)
+        s = core.w_plane(np.complex128(1.5 - 0.5j), P11)
+        assert isinstance(s, complex)
+        assert s == core.w_plane(np.array([1.5 - 0.5j]), P11)[0]
+        assert core.w_quadrant1(np.array(2.0 + 1.0j), P11) == core.w_quadrant1(
+            np.array([2.0 + 1.0j]), P11
+        )[0]
 
 
 class TestDerived:

@@ -1,0 +1,46 @@
+"""The layer functions that the benchmark's traced run wraps stay in place.
+
+``perfbench/tracing.py`` wraps module-level functions of ``faddeeva.core``
+by name and reads their arguments: points first, ``EvalParams`` second.  A
+refactor that renames, inlines or reorders one of them would silently turn
+its layer into an absent one, so this test installs the tracer and checks
+that every layer is found and counts the work of a real call.
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import faddeeva
+from faddeeva import core
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_tracer_finds_and_counts_every_layer(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    try:
+        before = (faddeeva.w, core.w_plane, core._corrections)
+        rec = tracing.Recorder()
+        tracer = tracing.Tracer(rec).install()
+        try:
+            assert tracer.absent == []
+            z = np.array([0.5 + 9.0j, 3.2 + 0.1j, 1.0 + 1.0j, -2.0 - 0.5j])
+            faddeeva.w(z)
+        finally:
+            tracer.remove()
+        assert (faddeeva.w, core.w_plane, core._corrections) == before
+    finally:
+        sys.modules.pop("tracing", None)
+
+    n = core.DEFAULT_N
+    c = rec.counts
+    m, mt, mm = (c[f"core.branch.{t}"] for t in ("M", "MT", "MM"))
+    assert (m, mt, mm) == (1, 1, 2)
+    assert c["core.node_sum.terms"] == (m + mm) * (n + 1) + mt * n
+    # one correction per corrected point, none for M
+    assert c["core.correction.points"] == c["core.correction.computed"] == mt + mm
+    assert c["core.plane.reflected_points"] == 1
