@@ -16,6 +16,7 @@ import logging
 import math
 import re
 import time
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
@@ -451,17 +452,9 @@ def render(records, fmt: str) -> str:
 
 
 def _sweep_header():
-    return [
-        "n",
-        "max_abs_err",
-        "max_rel_err",
-        "bound_abs",
-        "bound_rel",
-        "argmax_abs_re",
-        "argmax_abs_im",
-        "argmax_rel_re",
-        "argmax_rel_im",
-    ]
+    """CSV header of an empty sweep: the columns of a blank SweepRecord."""
+    types = typing.get_type_hints(SweepRecord)
+    return [k for k, _ in _flatten(SweepRecord(**{k: t() for k, t in types.items()}))]
 
 
 def emit(records, fmt: str, path) -> None:

@@ -13,6 +13,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,21 +28,6 @@ _POLE_GUARD = 1e-3
 # points per block of the evaluation pass: a block's input, output and
 # complex temporaries stay in L2 (chosen from a sweep of block sizes)
 _BLOCK = 16384
-
-# toggled by tests; the dispatcher then verifies the node-distance guarantee
-CHECK_NODE_DISTANCE = False
-
-
-def frac_part(t):
-    """Fractional part t - floor(t), in [0, 1)."""
-    t = np.asarray(t, dtype=np.float64)
-    if np.any(np.isnan(t)):
-        raise DomainError("frac_part: NaN input")
-    out = t - np.floor(t)
-    # t slightly below an integer rounds t - floor(t) up to 1.0; clamp to
-    # the largest representable value below 1 to keep the range contract
-    out = np.where(out >= 1.0, np.nextafter(1.0, 0.0), out)
-    return float(out) if out.ndim == 0 else out
 
 
 def _is_order(n) -> bool:
@@ -69,17 +55,18 @@ class EvalParams:
     """Quadrature order N and the derived step h = sqrt(pi/(N+1))."""
 
     n: int
-    h: float
 
     def __post_init__(self):
         if not _is_order(self.n):
             raise ParameterError(f"order must be in [0, {N_MAX}], got {self.n!r}")
-        if self.h != step_size(self.n):
-            raise ParameterError("h must equal sqrt(pi/(N+1)) in binary64")
 
     @classmethod
     def for_order(cls, n: int = DEFAULT_N) -> "EvalParams":
-        return cls(n=int(n), h=step_size(n))
+        return cls(n=n)
+
+    @property
+    def h(self) -> float:
+        return step_size(self.n)
 
     @property
     def t_nodes(self):
@@ -226,41 +213,6 @@ def select_branch(z, p: EvalParams) -> BranchTag:
     return BranchTag.MM
 
 
-def min_node_distance(z, p: EvalParams):
-    """Distance from z to the nodes of its dispatched rule (and 0 for MT)."""
-    z = _as_xy(z)
-    scalar = z.ndim == 0
-    zf = np.atleast_1d(z)
-    x, y = zf.real, zf.imag
-    m, mt, mm = _branch_masks(x, y, p)
-    t, _, tau, _ = _node_data(p.n)
-    d_t = np.minimum(
-        np.min(np.abs(zf.reshape(-1, 1) - t), axis=1),
-        np.min(np.abs(zf.reshape(-1, 1) + t), axis=1),
-    )
-    nodes_mt = np.concatenate(([0.0], tau)) if p.n > 0 else np.array([0.0])
-    d_tau = np.minimum(
-        np.min(np.abs(zf.reshape(-1, 1) - nodes_mt), axis=1),
-        np.min(np.abs(zf.reshape(-1, 1) + nodes_mt), axis=1),
-    )
-    out = np.where(mt, d_tau, d_t)
-    return float(out[0]) if scalar else out.reshape(z.shape)
-
-
-def _quadrant1_block(zq, p: EvalParams, out):
-    """Write w_N(zq) into ``out`` for one block of first-quadrant points."""
-    if CHECK_NODE_DISTANCE:
-        assert np.all(min_node_distance(zq, p) >= p.h / 4 - 1e-12 * p.h)
-    masks = _branch_masks(zq.real, zq.imag, p)
-    for tag, sel in zip((BranchTag.M, BranchTag.MT, BranchTag.MM), masks):
-        # index arrays gather and scatter several times faster than masks
-        idx = np.flatnonzero(sel)
-        if idx.size == zq.size:
-            out[...] = _rule(zq, p, tag)
-        elif idx.size:
-            out[idx] = _rule(zq[idx], p, tag)
-
-
 def _reflect(zl, wneg):
     """w(z) = 2 e^{-z^2} - w(-z) for Im(z) < 0, given wneg = w(-z).
 
@@ -282,8 +234,44 @@ def _reflect(zl, wneg):
     return out
 
 
-def _evaluate(z, p: EvalParams, plane: bool):
-    """w_N on validated points, in blocks of _BLOCK points.
+def _negate_imag(w, where):
+    np.negative(w.imag, out=w.imag, where=where)
+
+
+class _Arithmetic(NamedTuple):
+    """The arithmetic the dispatch and the fold run in.
+
+    ``empty(size)`` makes the flat output container, ``rule(z, p, tag)``
+    evaluates the formula ``tag`` on first-quadrant points,
+    ``negate_imag(w, where)`` negates Im w in place where the mask holds, and
+    ``reflect(zl, wneg)`` returns 2 e^{-z^2} - wneg for Im(z) < 0.
+    """
+
+    empty: Callable
+    rule: Callable
+    negate_imag: Callable
+    reflect: Callable
+
+
+_BINARY64 = _Arithmetic(
+    functools.partial(np.empty, dtype=np.complex128), _rule, _negate_imag, _reflect
+)
+
+
+def _quadrant1_block(zq, p: EvalParams, out, arith: _Arithmetic):
+    """Write w_N(zq) into ``out`` for one block of first-quadrant points."""
+    masks = _branch_masks(zq.real, zq.imag, p)
+    for tag, sel in zip((BranchTag.M, BranchTag.MT, BranchTag.MM), masks):
+        # index arrays gather and scatter several times faster than masks
+        idx = np.flatnonzero(sel)
+        if idx.size == zq.size:
+            out[...] = arith.rule(zq, p, tag)
+        elif idx.size:
+            out[idx] = arith.rule(zq[idx], p, tag)
+
+
+def _evaluate(z, p: EvalParams, plane: bool, arith: _Arithmetic = _BINARY64):
+    """w_N on validated points, in blocks of _BLOCK points; the flat result.
 
     With ``plane`` false the points lie in the closed first quadrant and
     are evaluated as given.  With ``plane`` true each point is folded to
@@ -292,12 +280,12 @@ def _evaluate(z, p: EvalParams, plane: bool):
     lower one.  Only one block's temporaries are alive at a time.
     """
     zf = z.reshape(-1)
-    out = np.empty_like(zf)
+    out = arith.empty(zf.size)
     for i in range(0, zf.size, _BLOCK):
         zb = zf[i:i + _BLOCK]
         ob = out[i:i + _BLOCK]
         if not plane:
-            _quadrant1_block(zb, p, ob)
+            _quadrant1_block(zb, p, ob, arith)
             continue
         x, y = zb.real, zb.imag
         if np.isinf(y).any():
@@ -306,17 +294,17 @@ def _evaluate(z, p: EvalParams, plane: bool):
         zq = np.empty_like(zb)
         np.abs(x, out=zq.real)
         np.abs(y, out=zq.imag)
-        _quadrant1_block(zq, p, ob)
+        _quadrant1_block(zq, p, ob, arith)
         # w(-conj z) = conj w(z), through z itself above the real axis and
         # through -z below it
         lower = np.flatnonzero(y < 0)
         conj = x < 0
         conj[lower] = x[lower] > 0
         if conj.any():
-            np.negative(ob.imag, out=ob.imag, where=conj)
+            arith.negate_imag(ob, conj)
         if lower.size:
-            ob[lower] = _reflect(zb[lower], ob[lower])
-    return out.reshape(z.shape)
+            ob[lower] = arith.reflect(zb[lower], ob[lower])
+    return out
 
 
 def w_quadrant1(z, p: EvalParams = None):
@@ -326,7 +314,7 @@ def w_quadrant1(z, p: EvalParams = None):
     z = _as_xy(z)
     if np.any(z.real < 0) or np.any(z.imag < 0):
         raise DomainError("w_quadrant1 requires the closed first quadrant")
-    return _scalar_out(_evaluate(z, p, plane=False), z.ndim == 0)
+    return _scalar_out(_evaluate(z, p, plane=False).reshape(z.shape), z.ndim == 0)
 
 
 def w_plane(z, p: EvalParams = None):
@@ -338,7 +326,7 @@ def w_plane(z, p: EvalParams = None):
     if p is None:
         p = EvalParams.for_order()
     z = _as_xy(z)
-    return _scalar_out(_evaluate(z, p, plane=True), z.ndim == 0)
+    return _scalar_out(_evaluate(z, p, plane=True).reshape(z.shape), z.ndim == 0)
 
 
 def erfc_c(z, p: EvalParams = None):

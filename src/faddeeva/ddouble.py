@@ -151,25 +151,12 @@ class DD:
     def __rtruediv__(self, other):
         return DD(other) / self
 
-    # -- comparisons (hi-major lexicographic) ----------------------------
-
-    def __lt__(self, other):
-        if not isinstance(other, DD):
-            other = DD(other)
-        return (self.hi < other.hi) | ((self.hi == other.hi) & (self.lo < other.lo))
-
-    def __le__(self, other):
-        if not isinstance(other, DD):
-            other = DD(other)
-        return (self.hi < other.hi) | ((self.hi == other.hi) & (self.lo <= other.lo))
+    # -- comparison -------------------------------------------------------
 
     def __eq__(self, other):  # noqa: D105
         if not isinstance(other, DD):
             other = DD(other)
         return (self.hi == other.hi) & (self.lo == other.lo)
-
-    def __hash__(self):
-        return hash((float(self.hi), float(self.lo)))
 
     def abs(self):
         neg = self.hi < 0
@@ -252,14 +239,6 @@ def dd_sincos(a: DD):
     sin_r = dd_where(qm == 0, st, dd_where(qm == 1, ct, dd_where(qm == 2, -st, -ct)))
     cos_r = dd_where(qm == 0, ct, dd_where(qm == 1, -st, dd_where(qm == 2, -ct, st)))
     return sin_r, cos_r
-
-
-def dd_sin(a: DD) -> DD:
-    return dd_sincos(a)[0]
-
-
-def dd_cos(a: DD) -> DD:
-    return dd_sincos(a)[1]
 
 
 class DDComplex:
@@ -349,13 +328,6 @@ class DDComplex:
 
     def __repr__(self):
         return f"DDComplex({self.re!r}, {self.im!r})"
-
-
-def ddc_exp(z: DDComplex) -> DDComplex:
-    """exp(z) = exp(Re z) * (cos Im z + i sin Im z)."""
-    mag = dd_exp(z.re)
-    s, c = dd_sincos(z.im)
-    return DDComplex(mag * c, mag * s)
 
 
 def dd_sum(a: DD) -> DD:

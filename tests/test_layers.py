@@ -1,10 +1,11 @@
 """The layer functions that the benchmark's traced run wraps stay in place.
 
 ``perfbench/tracing.py`` wraps module-level functions of ``faddeeva.core``
-by name and reads their arguments: points first, ``EvalParams`` second.  A
-refactor that renames, inlines or reorders one of them would silently turn
-its layer into an absent one, so this test installs the tracer and checks
-that every layer is found and counts the work of a real call.
+and ``faddeeva.oracle`` by name and reads their arguments: points first,
+``EvalParams`` second.  A refactor that renames, inlines or reorders one of
+them, or calls it through a reference taken at import, would silently turn
+its layer into an absent or empty one, so this test installs the tracer and
+checks that every layer is found and records the work of real calls.
 """
 
 import sys
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 import faddeeva
-from faddeeva import core
+from faddeeva import core, oracle
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -30,14 +31,20 @@ def test_tracer_finds_and_counts_every_layer(monkeypatch):
             assert tracer.absent == []
             z = np.array([0.5 + 9.0j, 3.2 + 0.1j, 1.0 + 1.0j, -2.0 - 0.5j])
             faddeeva.w(z)
+            c = rec.counts.copy()
+            # the oracle runs core's dispatch and fold: one point per quadrant
+            oracle.w_oracle(np.array([0.5 + 9.0j, -3.2 + 0.1j, -1.0 - 1.0j, 2.0 - 0.5j]))
         finally:
             tracer.remove()
         assert (faddeeva.w, core.w_plane, core._corrections) == before
     finally:
         sys.modules.pop("tracing", None)
 
+    spans = set(rec.layer)
+    for layer in ("oracle.node_sum", "oracle.correction", "oracle.dispatch", "oracle.plane"):
+        assert rec.layers.index(layer) in spans, layer
+
     n = core.DEFAULT_N
-    c = rec.counts
     m, mt, mm = (c[f"core.branch.{t}"] for t in ("M", "MT", "MM"))
     assert (m, mt, mm) == (1, 1, 2)
     assert c["core.node_sum.terms"] == (m + mm) * (n + 1) + mt * n
