@@ -16,7 +16,6 @@ from .core import (
     DEFAULT_N,
     N_MAX,
     BranchTag,
-    EvalParams,
     dawson_real as dawson,
     erf_c as erf,
     erfc_c as erfc,
@@ -53,7 +52,6 @@ __all__ = [
     "DEFAULT_N",
     "N_MAX",
     "BranchTag",
-    "EvalParams",
     "BoundConstants",
     "constants",
     "abs_bound",

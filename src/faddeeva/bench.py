@@ -10,6 +10,7 @@ attach the theoretical error envelopes for each order.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import logging
@@ -18,7 +19,7 @@ import re
 import time
 import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from . import core
 from .bounds import abs_bound, rel_bound
 from .ddouble import DD, DDComplex
 from .errors import ParameterError
-from .oracle import ORACLE_N, w_oracle, w_ref
+from .oracle import w_oracle, w_ref
 
 __all__ = [
     "GridSpec",
@@ -177,34 +178,63 @@ def _abs_diff(w_num, oracle_dd: DDComplex) -> np.ndarray:
     return np.hypot(dr.hi + dr.lo, di.hi + di.lo)
 
 
-def _chunk_stats(z, w_num, oracle_dd):
-    """Per-chunk partial maxima: (abs_max, abs_idx, rel_max, rel_idx, excluded)."""
-    wo_abs = np.hypot(oracle_dd.re.hi, oracle_dd.im.hi)
-    finite = np.isfinite(wo_abs) & (wo_abs > 0.0)
-    excluded = int(np.count_nonzero(~finite))
+def _max_errors(z, pairs, workers=None):
+    """Max abs/rel error against the oracle of each ``(evaluate, rated)`` pair.
 
-    aerr = _abs_diff(w_num, oracle_dd)
-    aerr = np.where(finite, aerr, -np.inf)
-    ai = int(np.argmax(aerr))
+    ``rated`` is a boolean mask over z, or None for all of z; an evaluator
+    sees only its rated points.  The oracle runs once per chunk of _CHUNK
+    points.  Points where the oracle is not finite are excluded from both
+    maxima (counted, and logged once); the relative error counts only where
+    the oracle is also nonzero and Im(z) >= 0.  A NaN from an evaluator
+    counts as an infinite error.  Chunks merge in stream order keeping the
+    first argmax, so any ``workers`` count gives the serial result.
 
-    upper = finite & (z.imag >= 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rerr = np.where(upper, aerr / wo_abs, -np.inf)
-    ri = int(np.argmax(rerr))
-    return float(aerr[ai]), ai, float(rerr[ri]), ri, excluded
+    Returns ``[max_abs, argmax_abs, max_rel, argmax_rel]`` per pair, with
+    -inf and 0j where a pair has no counted point.
+    """
 
+    def work(lo):
+        chunk = z[lo : lo + _CHUNK]
+        oracle_dd = w_oracle(chunk)
+        wo_abs = np.hypot(oracle_dd.re.hi, oracle_dd.im.hi)
+        finite = np.isfinite(wo_abs)
+        upper = finite & (wo_abs > 0.0) & (chunk.imag >= 0.0)
+        stats = []
+        for evaluate, rated in pairs:
+            idx = slice(None) if rated is None else np.flatnonzero(rated[lo : lo + _CHUNK])
+            zs = chunk[idx]
+            if not zs.size:
+                stats.append(None)
+                continue
+            aerr = _abs_diff(evaluate(zs), oracle_dd[idx])
+            aerr[np.isnan(aerr)] = np.inf
+            aerr[~finite[idx]] = -np.inf
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rerr = np.where(upper[idx], aerr / wo_abs[idx], -np.inf)
+            ai, ri = int(np.argmax(aerr)), int(np.argmax(rerr))
+            stats.append((float(aerr[ai]), complex(zs[ai]), float(rerr[ri]), complex(zs[ri])))
+        return int(np.count_nonzero(~finite)), stats
 
-class _MaxTracker:
-    """Associative (max, first-argmax) reduction over ordered chunks."""
+    starts = range(0, z.size, _CHUNK)
+    if workers and workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(work, starts))
+    else:
+        results = map(work, starts)
 
-    def __init__(self):
-        self.val = -math.inf
-        self.arg = 0 + 0j
-
-    def update(self, val, arg):
-        if val > self.val:
-            self.val = val
-            self.arg = arg
+    best = [[-math.inf, 0j, -math.inf, 0j] for _ in pairs]
+    excluded = 0
+    for n_excluded, stats in results:
+        excluded += n_excluded
+        for b, s in zip(best, stats):
+            if s is not None:
+                if s[0] > b[0]:
+                    b[0:2] = s[0:2]
+                if s[2] > b[2]:
+                    b[2:4] = s[2:4]
+    if excluded:
+        log.warning("excluded %d grid points with non-finite oracle values", excluded)
+    return best
 
 
 def error_sweep(
@@ -219,10 +249,10 @@ def error_sweep(
     ``precision="xprec"`` evaluates in double-double and is required for any
     n >= 12 (the binary64 arithmetic floor hides the true error there).  For
     xprec runs a deterministic 1-in-16 subsample is used unless ``subsample``
-    overrides it; binary64 runs use the full grid by default.  Relative
-    errors are restricted to Im(z) >= 0.  The chunked reduction is an
-    associative max merged in stream order, so parallel and serial runs
-    produce identical records.
+    overrides it; binary64 runs use the full grid by default.  Points where
+    the oracle is not finite are excluded (and logged); relative errors
+    count only where the oracle is nonzero and Im(z) >= 0.  Parallel and
+    serial runs produce identical records.
     """
     n_values = list(n_values)
     if not n_values:
@@ -238,54 +268,12 @@ def error_sweep(
     if subsample > 1:
         z = z[::subsample]
 
-    trackers = {n: (_MaxTracker(), _MaxTracker()) for n in n_values}
-    excluded_total = 0
-
-    def work(chunk):
-        oracle_dd = w_oracle(chunk)
-        out = {}
-        for n in n_values:
-            if precision == "xprec":
-                wn = w_ref(chunk, n)
-            else:
-                wn = core.w_plane(chunk, core.EvalParams.for_order(n))
-                wn = np.atleast_1d(wn)
-            out[n] = _chunk_stats(chunk, wn, oracle_dd)
-        return out
-
-    chunks = [z[i : i + _CHUNK] for i in range(0, z.size, _CHUNK)]
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, chunks))
-    else:
-        results = map(work, chunks)
-
-    for chunk, stats in zip(chunks, results):
-        for n in n_values:
-            amax, ai, rmax, ri, _excl = stats[n]
-            ta, tr = trackers[n]
-            ta.update(amax, complex(chunk[ai]))
-            tr.update(rmax, complex(chunk[ri]))
-        excluded_total += stats[n_values[0]][4]
-
-    if excluded_total:
-        log.warning("excluded %d grid points with non-finite oracle values", excluded_total)
-
-    records = []
-    for n in n_values:
-        ta, tr = trackers[n]
-        records.append(
-            SweepRecord(
-                n=n,
-                max_abs_err=ta.val,
-                max_rel_err=tr.val,
-                bound_abs=abs_bound(n),
-                bound_rel=rel_bound(n),
-                argmax_abs=ta.arg,
-                argmax_rel=tr.arg,
-            )
-        )
-    return records
+    evaluate = w_ref if precision == "xprec" else core.w_plane
+    maxima = _max_errors(z, [(functools.partial(evaluate, n=n), None) for n in n_values], workers)
+    return [
+        SweepRecord(n, a, r, abs_bound(n), rel_bound(n), ai, ri)
+        for n, (a, ai, r, ri) in zip(n_values, maxima)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +296,9 @@ def parse_method(spec_str: str):
 
     if name == "trap":
         n = int(args[0]) if args else core.DEFAULT_N
-        params = core.EvalParams.for_order(n)
         return (
             f"trap({n})",
-            lambda z: np.atleast_1d(core.w_plane(z, params)),
+            lambda z: np.atleast_1d(core.w_plane(z, n)),
             lambda z: np.ones(z.shape, dtype=bool),
         )
     if name == "weideman":
@@ -348,36 +335,28 @@ def parse_method(spec_str: str):
 
 
 def accuracy_table(methods, grid: GridSpec = GridSpec()) -> list[TableRecord]:
-    """Max abs/rel error vs the oracle for each method on its rated domain."""
+    """Max abs/rel error vs the oracle for each method on its rated domain.
+
+    Each method is evaluated only on the grid points of its rated domain,
+    and all methods share one oracle pass (`_max_errors`).  Points where the
+    oracle is not finite are excluded from both maxima, and their count is
+    logged; the relative error counts only where the oracle is also nonzero
+    and Im(z) >= 0.  Raises ParameterError if a method's rated domain holds
+    no grid point.
+    """
     parsed = [parse_method(s) if isinstance(s, str) else s for s in methods]
     z = gen_grid(grid)
 
-    rated = []
+    pairs = []
     for label, fn, mask_fn in parsed:
         mask = mask_fn(z)
         if not np.any(mask):
             raise ParameterError(f"method {label} has an empty rated subdomain on this grid")
-        rated.append(mask)
-
-    maxima = [[-math.inf, -math.inf] for _ in parsed]
-    for i in range(0, z.size, _CHUNK):
-        chunk = z[i : i + _CHUNK]
-        oracle_dd = w_oracle(chunk)
-        wo_abs = np.hypot(oracle_dd.re.hi, oracle_dd.im.hi)
-        for j, (label, fn, _mask_fn) in enumerate(parsed):
-            sel = rated[j][i : i + chunk.size]
-            if not np.any(sel):
-                continue
-            wv = fn(chunk[sel])
-            sub = DDComplex(oracle_dd.re[sel], oracle_dd.im[sel])
-            aerr = _abs_diff(wv, sub)
-            rerr = aerr / wo_abs[sel]
-            maxima[j][0] = max(maxima[j][0], float(aerr.max()))
-            maxima[j][1] = max(maxima[j][1], float(rerr.max()))
+        pairs.append((fn, mask))
 
     return [
-        TableRecord(method=label, max_abs=mx[0], max_rel=mx[1])
-        for (label, _f, _m), mx in zip(parsed, maxima)
+        TableRecord(method=label, max_abs=a, max_rel=r)
+        for (label, _f, _m), (a, _ai, r, _ri) in zip(parsed, _max_errors(z, pairs))
     ]
 
 

@@ -54,10 +54,9 @@ def cmd_eval(args) -> int:
     z = complex(args.re, args.im)
     n = args.n
     if args.method == "trap":
-        params = core.EvalParams.for_order(n)
-        value = core.w_plane(z, params)
+        value = core.w_plane(z, n)
         if z.real >= 0 and z.imag >= 0:
-            tag = core.select_branch(z, params).name
+            tag = core.select_branch(z, n).name
         else:
             tag = "symmetry"
         print(f"w({z.real:g}{z.imag:+g}i) = {value.real:.17g} {value.imag:+.17g}i")

@@ -60,10 +60,6 @@ class EvalParams:
         if not _is_order(self.n):
             raise ParameterError(f"order must be in [0, {N_MAX}], got {self.n!r}")
 
-    @classmethod
-    def for_order(cls, n: int = DEFAULT_N) -> "EvalParams":
-        return cls(n=n)
-
     @property
     def h(self) -> float:
         return step_size(self.n)
@@ -81,7 +77,7 @@ class EvalParams:
 
 @functools.lru_cache(maxsize=32)
 def _node_data(n: int):
-    p = EvalParams.for_order(n)
+    p = EvalParams(n)
     t = p.t_nodes
     tau = p.tau_nodes
     return t, np.exp(-t * t), tau, np.exp(-tau * tau)
@@ -197,8 +193,9 @@ def _branch_masks(x, y, p: EvalParams):
     return m, mt, mm
 
 
-def select_branch(z, p: EvalParams) -> BranchTag:
-    """Dispatch rule on the closed first quadrant (scalar arguments)."""
+def select_branch(z, n: int = DEFAULT_N) -> BranchTag:
+    """Dispatch rule of order n on the closed first quadrant (scalar arguments)."""
+    p = EvalParams(n)
     z = _as_xy(z)
     if z.ndim != 0:
         raise ParameterError("select_branch takes a scalar argument")
@@ -307,74 +304,66 @@ def _evaluate(z, p: EvalParams, plane: bool, arith: _Arithmetic = _BINARY64):
     return out
 
 
-def w_quadrant1(z, p: EvalParams = None):
-    """w_N(z) on the closed first quadrant via the three-formula dispatch."""
-    if p is None:
-        p = EvalParams.for_order()
+def w_quadrant1(z, n: int = DEFAULT_N):
+    """w_N(z) of order n on the closed first quadrant via the three-formula dispatch."""
+    p = EvalParams(n)
     z = _as_xy(z)
     if np.any(z.real < 0) or np.any(z.imag < 0):
         raise DomainError("w_quadrant1 requires the closed first quadrant")
     return _scalar_out(_evaluate(z, p, plane=False).reshape(z.shape), z.ndim == 0)
 
 
-def w_plane(z, p: EvalParams = None):
-    """w_N(z) on the whole complex plane via the quadrant symmetries.
+def w_plane(z, n: int = DEFAULT_N):
+    """w_N(z) of order n on the whole complex plane via the quadrant symmetries.
 
     For Im(z) < 0 the true function grows like exp(y^2 - x^2) and the
     result overflows to a signed infinity once that exceeds binary64 range.
     """
-    if p is None:
-        p = EvalParams.for_order()
+    p = EvalParams(n)
     z = _as_xy(z)
     return _scalar_out(_evaluate(z, p, plane=True).reshape(z.shape), z.ndim == 0)
 
 
-def erfc_c(z, p: EvalParams = None):
+def erfc_c(z, n: int = DEFAULT_N):
     """Complementary error function erfc(z) = e^{-z^2} w(iz)."""
-    if p is None:
-        p = EvalParams.for_order()
     z = _as_xy(z)
     scalar = z.ndim == 0
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        out = np.exp(-(z * z)) * w_plane(1j * z, p)
+        out = np.exp(-(z * z)) * w_plane(1j * z, n)
     return _scalar_out(np.asarray(out), scalar)
 
 
-def erf_c(z, p: EvalParams = None):
+def erf_c(z, n: int = DEFAULT_N):
     """Error function erf(z) = 1 - erfc(z)."""
-    res = np.asarray(1.0 - np.asarray(erfc_c(z, p)))
+    res = np.asarray(1.0 - np.asarray(erfc_c(z, n)))
     return _scalar_out(res, np.ndim(z) == 0)
 
 
-def erfcx_c(z, p: EvalParams = None):
+def erfcx_c(z, n: int = DEFAULT_N):
     """Scaled complementary error function e^{z^2} erfc(z) = w(iz)."""
-    return w_plane(1j * _as_xy(z), p)
+    return w_plane(1j * _as_xy(z), n)
 
 
-def dawson_real(x, p: EvalParams = None):
+def dawson_real(x, n: int = DEFAULT_N):
     """Dawson's integral for real x: (sqrt(pi)/2) Im w(x), odd in x."""
-    if p is None:
-        p = EvalParams.for_order()
     x = np.asarray(x, dtype=np.float64)
     if np.any(np.isnan(x)):
         raise DomainError("NaN input")
     scalar = x.ndim == 0
-    w = np.asarray(w_quadrant1(np.abs(x) + 0j, p))
+    w = np.asarray(w_quadrant1(np.abs(x) + 0j, n))
     out = np.copysign(1.0, x) * (math.sqrt(math.pi) / 2.0) * w.imag
     # exact odd extension: D(0) = 0 with the sign of x preserved elsewhere
     out = np.where(x == 0.0, 0.0, out)
     return float(out) if scalar else out
 
 
-def voigt_kl(x, y, p: EvalParams = None):
+def voigt_kl(x, y, n: int = DEFAULT_N):
     """Voigt line-shape pair (K, L) = (Re w(x+iy), Im w(x+iy)), y > 0."""
-    if p is None:
-        p = EvalParams.for_order()
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if np.any(y <= 0):
         raise ParameterError("voigt_kl requires y > 0")
-    w = np.asarray(w_plane(x + 1j * y, p))
+    w = np.asarray(w_plane(x + 1j * y, n))
     if w.ndim == 0:
         return float(w.real), float(w.imag)
     return w.real, w.imag

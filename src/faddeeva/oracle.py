@@ -137,7 +137,7 @@ def w_ref(z, n: int = ORACLE_N) -> DDComplex:
     # rebinds _w_q1_dd by module attribute, and a tuple made at import would
     # keep the unwrapped function
     dd = core._Arithmetic(DDComplex.zeros, _w_q1_dd, _negate_imag_dd, _reflect_dd)
-    out = core._evaluate(z, core.EvalParams.for_order(n), plane=True, arith=dd)
+    out = core._evaluate(z, core.EvalParams(n), plane=True, arith=dd)
     return out[0] if z.ndim == 0 else out
 
 
@@ -212,7 +212,6 @@ def _cauchy_integral(z: complex, panels: int, order: int) -> DDComplex:
     t, wg = _panel_nodes(panels, order, -_T_CUT, _T_CUT)
     x, y = float(np.real(z)), float(np.imag(z))
     d = DDComplex((-t) + x, DD(np.full(t.hi.shape, y)))
-    terms = DDComplex.zeros(t.hi.shape)
     s = wg / d.abs2()
     terms = DDComplex(s * d.re, -(s * d.im))
     total = ddc_sum(terms)

@@ -12,13 +12,9 @@ import pytest
 
 from faddeeva import bench, core
 from faddeeva.bounds import abs_bound, constants, rel_bound
-from faddeeva.ddouble import DD, DDComplex
 from faddeeva.oracle import ORACLE_N, w_oracle, w_quadrature, w_ref
-from faddeeva.reference import ZaghloulParams, default_weideman_model, weideman_eval, zaghloul_eval
 
 from conftest import ACCEPTANCE_RESULTS
-
-CHUNK = 65536
 
 
 def record(ok: bool, label: str, detail: str):
@@ -36,46 +32,21 @@ def polar_grid():
 
 
 @pytest.fixture(scope="session")
-def polar_oracle(polar_grid):
-    """Order-20 double-double oracle over the full 1,602,801-point grid."""
-    z = polar_grid
-    re_hi = np.empty(z.size)
-    re_lo = np.empty(z.size)
-    im_hi = np.empty(z.size)
-    im_lo = np.empty(z.size)
-    for i in range(0, z.size, CHUNK):
-        r = w_oracle(z[i : i + CHUNK])
-        sl = slice(i, i + z[i : i + CHUNK].size)
-        re_hi[sl], re_lo[sl] = r.re.hi, r.re.lo
-        im_hi[sl], im_lo[sl] = r.im.hi, r.im.lo
-    return DDComplex(DD(re_hi, re_lo), DD(im_hi, im_lo))
+def polar_table():
+    """Accuracy-table rows over the full 1,602,801-point polar grid, by method.
 
-
-def max_errors(z, oracle, evaluate, sel=None):
-    """(max_abs, max_rel) of `evaluate` against the stored oracle, chunked."""
-    max_abs = 0.0
-    max_rel = 0.0
-    idx = np.arange(z.size) if sel is None else np.flatnonzero(sel)
-    for i in range(0, idx.size, CHUNK):
-        j = idx[i : i + CHUNK]
-        w = np.asarray(evaluate(z[j]))
-        dr = DD(np.ascontiguousarray(w.real)) - DD(oracle.re.hi[j], oracle.re.lo[j])
-        di = DD(np.ascontiguousarray(w.imag)) - DD(oracle.im.hi[j], oracle.im.lo[j])
-        aerr = np.hypot(dr.hi + dr.lo, di.hi + di.lo)
-        wabs = np.hypot(oracle.re.hi[j], oracle.im.hi[j])
-        max_abs = max(max_abs, float(np.max(aerr)))
-        max_rel = max(max_rel, float(np.max(aerr / wabs)))
-    return max_abs, max_rel
+    trap(0)..trap(11), weideman(40) and zaghloul(0.5,38) against the order-20
+    double-double oracle, in one oracle pass over the grid.
+    """
+    methods = [f"trap({n})" for n in range(12)] + ["weideman(40)", "zaghloul(0.5,38)"]
+    return {row.method: row for row in bench.accuracy_table(methods)}
 
 
 @pytest.fixture(scope="session")
-def binary64_sweep(polar_grid, polar_oracle):
+def binary64_sweep(polar_table):
     """Max abs/rel error of w_N for N = 0..11 over the full polar grid."""
-    out = {}
-    for n in range(0, 12):
-        p = core.EvalParams.for_order(n)
-        out[n] = max_errors(polar_grid, polar_oracle, lambda c, p=p: core.w_quadrant1(c, p))
-    return out
+    return {n: (polar_table[f"trap({n})"].max_abs, polar_table[f"trap({n})"].max_rel)
+            for n in range(12)}
 
 
 # ---------------------------------------------------------------------------
@@ -141,23 +112,13 @@ class TestCriterion2BoundSuite:
             + (f"; violations:{worst}" if worst else ""),
         )
 
-    def test_xprec_orders(self, polar_grid, polar_oracle):
+    def test_xprec_orders(self):
         floor = 1e-26
-        sel = slice(None, None, 16)  # deterministic 1-in-16 subsample
-        z = polar_grid[sel]
-        sub = DDComplex(
-            DD(polar_oracle.re.hi[sel], polar_oracle.re.lo[sel]),
-            DD(polar_oracle.im.hi[sel], polar_oracle.im.lo[sel]),
-        )
         ok = True
         detail = []
-        for n in range(12, 20):
-            wn = w_ref(z, n)
-            dr = wn.re - sub.re
-            di = wn.im - sub.im
-            aerr = np.hypot(dr.hi + dr.lo, di.hi + di.lo)
-            rerr = aerr / np.hypot(sub.re.hi, sub.im.hi)
-            a, r = float(np.max(aerr)), float(np.max(rerr))
+        # deterministic 1-in-16 subsample of the polar grid
+        for rec in bench.error_sweep(range(12, 20), precision="xprec"):
+            a, r, n = rec.max_abs_err, rec.max_rel_err, rec.n
             if not (a <= abs_bound(n) + floor and r <= rel_bound(n) + floor):
                 ok = False
                 detail.append(f"n={n}: abs {a:.2e} vs {abs_bound(n):.2e}")
@@ -209,17 +170,10 @@ class TestCriterion4Constants:
 
 
 class TestCriterion5AccuracyTable:
-    def test_table_rows(self, polar_grid, polar_oracle):
-        p11 = core.EvalParams.for_order(11)
-        trap_abs, trap_rel = max_errors(
-            polar_grid, polar_oracle, lambda c: core.w_quadrant1(c, p11)
-        )
-        model = default_weideman_model(40)
-        weid_abs, weid_rel = max_errors(
-            polar_grid, polar_oracle, lambda c: weideman_eval(c, model)
-        )
-        zp = ZaghloulParams(a=0.5, terms=38)
-        zag_abs, zag_rel = max_errors(polar_grid, polar_oracle, lambda c: zaghloul_eval(c, zp))
+    def test_table_rows(self, polar_table):
+        trap_abs = polar_table["trap(11)"].max_abs
+        weid_rel = polar_table["weideman(40)"].max_rel
+        zag_rel = polar_table["zaghloul(0.5,38)"].max_rel
 
         ok = trap_abs <= 2.4e-15 and weid_rel <= 3e-15 and zag_rel <= 5e-13
         record(
@@ -241,16 +195,16 @@ class TestCriterion5AccuracyTable:
 
 
 class TestCriterion6Identities:
-    def test_identity_suite(self, polar_grid, polar_oracle):
-        p11 = core.EvalParams.for_order(11)
+    def test_identity_suite(self, polar_grid):
+        p11 = core.EvalParams(11)
         c1 = abs_bound(11)
         msgs = []
 
-        ok_origin = core.w_plane(0j, p11) == 1.0 + 0j
+        ok_origin = core.w_plane(0j, 11) == 1.0 + 0j
         msgs.append(f"w(0)=1 {'exact' if ok_origin else 'VIOLATED'}")
 
         x = np.arange(0.0, 30.0 + 1e-9, 0.01)
-        wreal = np.asarray(core.w_quadrant1(x + 0j, p11))
+        wreal = np.asarray(core.w_quadrant1(x + 0j, 11))
         gauss_err = float(np.max(np.abs(wreal.real - np.exp(-x * x))))
         ok_gauss = gauss_err <= c1
         msgs.append(f"Re w(x) vs e^-x^2 {gauss_err:.1e}")
@@ -258,7 +212,7 @@ class TestCriterion6Identities:
         rng = np.random.default_rng(31)
         zs = rng.uniform(0, 20, 5000) + 1j * rng.uniform(0, 20, 5000)
         ok_conj = np.array_equal(
-            np.asarray(core.w_plane(-np.conj(zs), p11)), np.conj(core.w_plane(zs, p11))
+            np.asarray(core.w_plane(-np.conj(zs), 11)), np.conj(core.w_plane(zs, 11))
         )
         msgs.append("conjugate symmetry " + ("bit-exact" if ok_conj else "VIOLATED"))
 
@@ -279,9 +233,7 @@ class TestCriterion6Identities:
         ok_cont = cont <= tol
         msgs.append(f"branch continuity {cont:.1e} <= {tol:.1e}")
 
-        w11 = np.empty(polar_grid.size, dtype=np.complex128)
-        for i in range(0, polar_grid.size, CHUNK):
-            w11[i : i + CHUNK] = core.w_quadrant1(polar_grid[i : i + CHUNK], p11)
+        w11 = core.w_quadrant1(polar_grid, 11)
         lb = 1.0 / (1.0 + math.sqrt(math.pi) * np.abs(polar_grid)) - c1
         ok_lb = bool(np.all(np.abs(w11) >= lb))
         msgs.append("lower bound " + ("holds" if ok_lb else "VIOLATED"))

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import faddeeva
 from faddeeva import bench
 from faddeeva.bench import (
     GridSpec,
@@ -22,6 +23,7 @@ from faddeeva.bench import (
     timing_run,
 )
 from faddeeva.errors import ParameterError
+from faddeeva.oracle import w_oracle
 
 SMALL = GridSpec(p_min=-3.0, p_max=3.0, p_step=0.05, theta_count=41)
 
@@ -97,6 +99,62 @@ class TestErrorSweep:
     def test_empty_n_values(self):
         with pytest.raises(ParameterError):
             error_sweep([], SMALL)
+
+
+class TestMaxErrors:
+    """The one reduction behind error_sweep and accuracy_table."""
+
+    Z = np.array([1 + 1j, 2 - 1j, np.inf + 0j, 0.5 + 3j])
+
+    @staticmethod
+    def near_oracle(z):
+        # the oracle rounded to binary64, off by 1e-3 below the real axis
+        return w_oracle(z).to_complex() + 1e-3 * (z.imag < 0)
+
+    def test_exclusion_and_relative_domain(self, caplog):
+        with np.errstate(all="ignore"):
+            [(a, ai, r, ri)] = bench._max_errors(self.Z, [(self.near_oracle, None)])
+        # the lower half-plane point sets the absolute maximum only
+        assert a == pytest.approx(1e-3) and ai == 2 - 1j
+        assert r < 1e-16 and ri in (1 + 1j, 0.5 + 3j)
+        # the infinite point has no finite oracle: excluded and logged once
+        assert [m for m in caplog.messages if "excluded" in m] == [
+            "excluded 1 grid points with non-finite oracle values"
+        ]
+
+    @staticmethod
+    def nan(z):
+        return np.full(z.shape, complex(np.nan, np.nan))
+
+    def test_nan_counts_as_infinite_error(self):
+        with np.errstate(all="ignore"):
+            [(a, ai, r, ri)] = bench._max_errors(self.Z, [(self.nan, None)])
+        assert (a, ai, r, ri) == (np.inf, 1 + 1j, np.inf, 1 + 1j)
+
+    def test_rated_points_only(self):
+        seen = []
+
+        def record(z):
+            seen.append(z.copy())
+            return self.near_oracle(z)
+
+        rated = np.array([False, True, False, True])
+        with np.errstate(all="ignore"):
+            (_a, ai, _r, ri), none = bench._max_errors(
+                self.Z, [(record, rated), (record, np.zeros(4, bool))]
+            )
+        assert len(seen) == 1 and np.array_equal(seen[0], self.Z[rated])
+        assert ai == 2 - 1j and ri == 0.5 + 3j
+        assert none == [-np.inf, 0j, -np.inf, 0j]
+
+    def test_workers_match_serial(self, monkeypatch):
+        monkeypatch.setattr(bench, "_CHUNK", 16)  # eight chunks for four workers
+        z = gen_polar_grid(SMALL)[::41]
+        pairs = [(lambda c: np.atleast_1d(faddeeva.w(c, n=4)), None), (self.nan, None)]
+        serial = bench._max_errors(z, pairs)
+        assert bench._max_errors(z, pairs, workers=4) == serial
+        # every point ties at an infinite error: the first one is kept
+        assert serial[1] == [np.inf, complex(z[0]), np.inf, complex(z[0])]
 
 
 class TestAccuracyTable:

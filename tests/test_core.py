@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import faddeeva
 from faddeeva import core
 from faddeeva.bounds import abs_bound
 from faddeeva.errors import DomainError, ParameterError, PoleProximityError
 from faddeeva.oracle import w_oracle
 
-P11 = core.EvalParams.for_order(11)
+P11 = core.EvalParams(11)
 
 
 def oracle_c(z):
@@ -42,16 +43,47 @@ class TestStepSize:
 
 class TestEvalParams:
     def test_nodes(self):
-        p = core.EvalParams.for_order(3)
+        p = core.EvalParams(3)
         np.testing.assert_allclose(p.t_nodes, (np.arange(4) + 0.5) * p.h)
         np.testing.assert_allclose(p.tau_nodes, np.arange(1, 4) * p.h)
 
     @pytest.mark.parametrize("n", [True, False])
     def test_bool_rejected(self, n):
         with pytest.raises(ParameterError):
-            core.EvalParams.for_order(n)
-        with pytest.raises(ParameterError):
             core.EvalParams(n=n)
+
+
+class TestOrderArgument:
+    """The public functions take the order as the integer ``n``."""
+
+    CALLS = {
+        "w": lambda **kw: faddeeva.w(1 + 1j, **kw),
+        "w_quadrant1": lambda **kw: faddeeva.w_quadrant1(1 + 1j, **kw),
+        "erfc": lambda **kw: faddeeva.erfc(0.5, **kw),
+        "erf": lambda **kw: faddeeva.erf(0.5, **kw),
+        "erfcx": lambda **kw: faddeeva.erfcx(0.5, **kw),
+        "dawson": lambda **kw: faddeeva.dawson(0.5, **kw),
+        "voigt": lambda **kw: faddeeva.voigt(0.5, 0.5, **kw),
+        "select_branch": lambda **kw: faddeeva.select_branch(3.2 + 0.1j, **kw),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_default_is_n11(self, name):
+        assert self.CALLS[name]() == self.CALLS[name](n=11)
+
+    def test_order_is_used(self):
+        assert faddeeva.w(1 + 1j, n=0) != faddeeva.w(1 + 1j)
+        assert faddeeva.w(1 + 1j, n=15) == faddeeva.w(1 + 1j, 15)
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    @pytest.mark.parametrize("n", [core.EvalParams(11), True, -1, 26, 11.0])
+    def test_non_order_rejected(self, name, n):
+        with pytest.raises(ParameterError):
+            self.CALLS[name](n=n)
+
+    def test_eval_params_not_exported(self):
+        assert not hasattr(faddeeva, "EvalParams")
+        assert "EvalParams" not in faddeeva.__all__
 
 
 class TestMidSum:
@@ -91,7 +123,7 @@ class TestModMid:
 class TestModTrap:
     def test_vs_oracle(self):
         z = 3.2 + 0.1j  # frac(3.2/h) ~ 0.254, inside the MT window
-        assert core.select_branch(z, P11) is core.BranchTag.MT
+        assert core.select_branch(z, 11) is core.BranchTag.MT
         assert abs(core.w_mod_trap(z, P11) - oracle_c(z)) < abs_bound(11)
 
     def test_real_axis_midwindow(self):
@@ -113,26 +145,26 @@ class TestModTrap:
 
 class TestSelectBranch:
     def test_examples(self):
-        assert core.select_branch(7j, P11) is core.BranchTag.M
-        assert core.select_branch(3.2 + 0.1j, P11) is core.BranchTag.MT
-        assert core.select_branch(0j, P11) is core.BranchTag.MM
+        assert core.select_branch(7j, 11) is core.BranchTag.M
+        assert core.select_branch(3.2 + 0.1j, 11) is core.BranchTag.MT
+        assert core.select_branch(0j, 11) is core.BranchTag.MM
 
     def test_m_threshold(self):
         poh = np.pi / P11.h
-        assert core.select_branch(1j * (poh + 0.01), P11) is core.BranchTag.M
-        assert core.select_branch(1j * (poh - 0.01), P11) is core.BranchTag.MM
+        assert core.select_branch(1j * (poh + 0.01), 11) is core.BranchTag.M
+        assert core.select_branch(1j * (poh - 0.01), 11) is core.BranchTag.MM
 
     def test_mt_requires_y_below_x(self):
         # same x as an MT point but y >= x disables MT
-        assert core.select_branch(3.2 + 4j, P11) is core.BranchTag.MM
+        assert core.select_branch(3.2 + 4j, 11) is core.BranchTag.MM
 
 
 class TestQuadrant1:
     def test_origin(self):
-        assert core.w_quadrant1(0j, P11) == 1.0 + 0j
+        assert core.w_quadrant1(0j, 11) == 1.0 + 0j
 
     def test_imag_axis(self):
-        assert abs(core.w_quadrant1(10j, P11) - oracle_c(10j)) < 2e-15
+        assert abs(core.w_quadrant1(10j, 11) - oracle_c(10j)) < 2e-15
 
     def test_node_distance_guarantee(self):
         # each point is at least h/4 from the poles of its dispatched rule:
@@ -148,13 +180,13 @@ class TestQuadrant1:
     def test_random_vs_oracle(self):
         rng = np.random.default_rng(1)
         z = 10.0 ** rng.uniform(-5, 4, 500) * np.exp(1j * rng.uniform(0, np.pi / 2, 500))
-        err = np.abs(core.w_quadrant1(z, P11) - oracle_c(z))
+        err = np.abs(core.w_quadrant1(z, 11) - oracle_c(z))
         assert np.max(err) < 2e-15
 
     def test_lower_bound_consistency(self):
         rng = np.random.default_rng(2)
         z = 10.0 ** rng.uniform(-5, 4, 500) * np.exp(1j * rng.uniform(0, np.pi / 2, 500))
-        w = core.w_quadrant1(z, P11)
+        w = core.w_quadrant1(z, 11)
         lb = 1.0 / (1.0 + math.sqrt(math.pi) * np.abs(z)) - abs_bound(11)
         assert np.all(np.abs(w) >= lb)
 
@@ -162,31 +194,31 @@ class TestQuadrant1:
 class TestPlane:
     def test_functional_equation(self):
         z = 1 + 1j
-        s = core.w_plane(z, P11) + core.w_plane(-z, P11)
+        s = core.w_plane(z, 11) + core.w_plane(-z, 11)
         assert abs(s - 2 * np.exp(-(z * z))) < 4e-16
 
     def test_second_quadrant_bit_exact(self):
-        a = core.w_plane(-2 + 0.5j, P11)
-        b = core.w_quadrant1(2 + 0.5j, P11)
+        a = core.w_plane(-2 + 0.5j, 11)
+        b = core.w_quadrant1(2 + 0.5j, 11)
         assert a == np.conj(b)
 
     def test_lower_half_overflow(self):
         from scipy.special import wofz
 
         z = np.array([1 - 30j, -30j, -1 - 30j, 0.5 - 27j, -3 - 40j, 20 - 50j])
-        v = core.w_plane(z, P11)
+        v = core.w_plane(z, 11)
         ref = wofz(z)
         assert not np.any(np.isnan(v.real) | np.isnan(v.imag))
         assert np.all(np.isinf(v.real) | np.isinf(v.imag))
         for part in (np.real, np.imag):
             np.testing.assert_array_equal(np.isinf(part(v)), np.isinf(part(ref)))
             np.testing.assert_array_equal(np.sign(part(v)), np.sign(part(ref)))
-        assert core.w_plane(-30j, P11) == complex(np.inf, 0.0)
-        assert core.w_plane(1 - 30j, P11) == complex(-np.inf, -np.inf)
+        assert core.w_plane(-30j, 11) == complex(np.inf, 0.0)
+        assert core.w_plane(1 - 30j, 11) == complex(-np.inf, -np.inf)
 
     def test_nan_rejected(self):
         with pytest.raises(DomainError):
-            core.w_plane(complex(float("nan"), 0.0), P11)
+            core.w_plane(complex(float("nan"), 0.0), 11)
 
     @given(
         st.floats(min_value=0.0, max_value=50.0),
@@ -195,7 +227,7 @@ class TestPlane:
     @settings(max_examples=150)
     def test_conjugate_symmetry_property(self, x, y):
         z = complex(x, y)
-        assert core.w_plane(-np.conj(z), P11) == np.conj(core.w_plane(z, P11))
+        assert core.w_plane(-np.conj(z), 11) == np.conj(core.w_plane(z, 11))
 
 
 def _bits(a):
@@ -217,14 +249,14 @@ class TestBlocks:
     @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 2 * B + 3])
     def test_sizes_match_pieces(self, n):
         z = self._mixed(n)
-        out = core.w_plane(z, P11)
+        out = core.w_plane(z, 11)
         assert out.shape == z.shape
         cuts = [0, 1, self.B - 1, self.B + 2, n]
-        pieces = [core.w_plane(z[a:b], P11) for a, b in zip(cuts, cuts[1:]) if a < b]
+        pieces = [core.w_plane(z[a:b], 11) for a, b in zip(cuts, cuts[1:]) if a < b]
         assert _bits(out) == _bits(np.concatenate([np.empty(0, complex)] + pieces))
         q = np.abs(z.real) + 1j * np.abs(z.imag)
-        scalars = [core.w_quadrant1(complex(v), P11) for v in q[:: max(1, n // 50)]]
-        assert _bits(core.w_quadrant1(q, P11)[:: max(1, n // 50)]) == _bits(np.array(scalars))
+        scalars = [core.w_quadrant1(complex(v), 11) for v in q[:: max(1, n // 50)]]
+        assert _bits(core.w_quadrant1(q, 11)[:: max(1, n // 50)]) == _bits(np.array(scalars))
 
     def test_quadrants_interleaved_across_edge(self):
         base = np.array([1.5 + 0.7j, 3.3 + 0.1j, 0.2 + 8.0j, 7.0 + 2.0j])
@@ -232,74 +264,74 @@ class TestBlocks:
         k = np.arange(2 * self.B + 3)
         z = base[(k // 4) % 4] * (1.0 + 1e-3 * k / self.B)
         z = z.real * signs[k % 4].real + 1j * z.imag * signs[k % 4].imag
-        out = core.w_plane(z, P11)
+        out = core.w_plane(z, 11)
         edge = slice(self.B - 8, self.B + 8)
-        pieces = np.concatenate([core.w_plane(z[: self.B], P11), core.w_plane(z[self.B :], P11)])
+        pieces = np.concatenate([core.w_plane(z[: self.B], 11), core.w_plane(z[self.B :], 11)])
         assert _bits(out) == _bits(pieces)
-        singles = np.array([core.w_plane(complex(v), P11) for v in z[edge]])
+        singles = np.array([core.w_plane(complex(v), 11) for v in z[edge]])
         assert _bits(out[edge]) == _bits(singles)
 
     def test_shapes(self):
         z = self._mixed(7 * (2 * self.B // 7 + 5)).reshape(-1, 7)
-        out = core.w_plane(z, P11)
+        out = core.w_plane(z, 11)
         assert out.shape == z.shape
-        assert _bits(out) == _bits(core.w_plane(z.ravel(), P11))
-        cols = core.w_plane(np.asfortranarray(z), P11)
+        assert _bits(out) == _bits(core.w_plane(z.ravel(), 11))
+        cols = core.w_plane(np.asfortranarray(z), 11)
         assert _bits(cols) == _bits(out)
-        s = core.w_plane(np.complex128(1.5 - 0.5j), P11)
+        s = core.w_plane(np.complex128(1.5 - 0.5j), 11)
         assert isinstance(s, complex)
-        assert s == core.w_plane(np.array([1.5 - 0.5j]), P11)[0]
-        assert core.w_quadrant1(np.array(2.0 + 1.0j), P11) == core.w_quadrant1(
-            np.array([2.0 + 1.0j]), P11
+        assert s == core.w_plane(np.array([1.5 - 0.5j]), 11)[0]
+        assert core.w_quadrant1(np.array(2.0 + 1.0j), 11) == core.w_quadrant1(
+            np.array([2.0 + 1.0j]), 11
         )[0]
 
 
 class TestDerived:
     def test_erfc_examples(self):
-        assert core.erfc_c(0j, P11) == 1.0 + 0j
+        assert core.erfc_c(0j, 11) == 1.0 + 0j
         # frozen from the extended-precision oracle: e^{-1} w_oracle(i)
-        assert abs(core.erfc_c(1 + 0j, P11) - 0.15729920705028513) < 3e-16
-        s = core.erfc_c(0.7 + 0.3j, P11) + core.erfc_c(-0.7 - 0.3j, P11)
+        assert abs(core.erfc_c(1 + 0j, 11) - 0.15729920705028513) < 3e-16
+        s = core.erfc_c(0.7 + 0.3j, 11) + core.erfc_c(-0.7 - 0.3j, 11)
         assert abs(s - 2.0) < 4e-15
 
     def test_erf_examples(self):
-        assert core.erf_c(0j, P11) == 0j
-        assert core.erf_c(-0.3j, P11) == -core.erf_c(0.3j, P11)
-        assert abs(core.erf_c(1 + 0j, P11) - 0.84270079294971487) < 3e-16
+        assert core.erf_c(0j, 11) == 0j
+        assert core.erf_c(-0.3j, 11) == -core.erf_c(0.3j, 11)
+        assert abs(core.erf_c(1 + 0j, 11) - 0.84270079294971487) < 3e-16
 
     def test_erfcx_examples(self):
-        assert core.erfcx_c(0j, P11) == 1.0 + 0j
-        assert abs(core.erfcx_c(10 + 0j, P11) - 0.056140992743822586) < 2e-16
+        assert core.erfcx_c(0j, 11) == 1.0 + 0j
+        assert abs(core.erfcx_c(10 + 0j, 11) - 0.056140992743822586) < 2e-16
         y = np.linspace(0.0, 10.0, 101)
-        v = core.erfcx_c(y + 0j, P11)
+        v = core.erfcx_c(y + 0j, 11)
         assert np.all(v.real > 0.0)
         assert np.max(np.abs(v.imag)) <= 2e-15
 
     def test_dawson(self):
-        assert core.dawson_real(0.0, P11) == 0.0
-        assert core.dawson_real(-1.3, P11) == -core.dawson_real(1.3, P11)
-        assert abs(core.dawson_real(1.0, P11) - 0.53807950691276842) < 3e-16
+        assert core.dawson_real(0.0, 11) == 0.0
+        assert core.dawson_real(-1.3, 11) == -core.dawson_real(1.3, 11)
+        assert abs(core.dawson_real(1.0, 11) - 0.53807950691276842) < 3e-16
 
     def test_voigt(self):
-        k, l = core.voigt_kl(0.0, 1.0, P11)
+        k, l = core.voigt_kl(0.0, 1.0, 11)
         assert k == pytest.approx(0.42758357615580700, abs=3e-16)
         assert l == 0.0
-        k1, l1 = core.voigt_kl(2.0, 0.5, P11)
-        k2, l2 = core.voigt_kl(-2.0, 0.5, P11)
+        k1, l1 = core.voigt_kl(2.0, 0.5, 11)
+        k2, l2 = core.voigt_kl(-2.0, 0.5, 11)
         assert k1 == k2 and l1 == -l2
         ref = oracle_c(1 + 1j)
-        k3, l3 = core.voigt_kl(1.0, 1.0, P11)
+        k3, l3 = core.voigt_kl(1.0, 1.0, 11)
         assert abs(k3 - ref.real) < 2e-15 and abs(l3 - ref.imag) < 2e-15
 
     def test_voigt_domain(self):
         with pytest.raises(ParameterError):
-            core.voigt_kl(1.0, 0.0, P11)
+            core.voigt_kl(1.0, 0.0, 11)
 
 
 class TestRealAxisIdentity:
     def test_exp_identity_to_30(self):
         x = np.arange(0.0, 30.0 + 1e-9, 0.01)
-        w = np.asarray(core.w_quadrant1(x + 0j, P11))
+        w = np.asarray(core.w_quadrant1(x + 0j, 11))
         err = np.abs(w.real - np.exp(-x * x))
         assert np.max(err) <= abs_bound(11)
 
@@ -311,8 +343,7 @@ class TestExponentialDecay:
         ref = oracle_c(z)
         prev = None
         for n in range(0, 10):
-            p = core.EvalParams.for_order(n)
-            e = float(np.max(np.abs(core.w_quadrant1(z, p) - ref)))
+            e = float(np.max(np.abs(core.w_quadrant1(z, n) - ref)))
             if prev is not None and prev > 1e-13:
                 assert e / prev <= math.exp(-math.pi) * 1.5
             prev = e

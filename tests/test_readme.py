@@ -1,0 +1,47 @@
+"""The README's examples run: its Python quick start executes, and every
+``faddeeva ...`` command line parses (parsed only: the full-grid sweeps
+take minutes)."""
+
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from faddeeva import cli
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
+def blocks(lang):
+    return re.findall(rf"^```{lang}\n(.*?)^```", README, flags=re.M | re.S)
+
+
+def command_lines():
+    """The ``faddeeva ...`` lines of the bash blocks, without their comments."""
+    return [
+        shlex.join(shlex.split(line, comments=True))
+        for block in blocks("bash")
+        for line in block.splitlines()
+        if line.startswith("faddeeva ")
+    ]
+
+
+def test_python_blocks_run():
+    assert blocks("python")
+    for block in blocks("python"):
+        exec(compile(block, "README.md", "exec"), {})
+
+
+def test_every_subcommand_shown():
+    shown = {shlex.split(line)[1] for line in command_lines()}
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    assert shown == set(sub.choices)
+
+
+@pytest.mark.parametrize("line", command_lines())
+def test_command_line_parses(line):
+    try:
+        cli.build_parser().parse_args(shlex.split(line)[1:])
+    except SystemExit as exc:
+        pytest.fail(f"README line does not parse ({exc.code}): {line}")

@@ -173,8 +173,7 @@ class TestCrossAgreement:
         r = 10.0 ** rng.uniform(np.log10(8.0), 2, 50)
         th = rng.uniform(0.0, np.pi / 2, 50)
         z = r * np.exp(1j * th)
-        p11 = core.EvalParams.for_order(11)
-        wc = np.asarray(core.w_quadrant1(z, p11))
+        wc = np.asarray(core.w_quadrant1(z, 11))
         m = default_weideman_model(40)
         for vals in (cf_convergent(z, 9), weideman_eval(z, m), zaghloul_eval(z)):
             assert np.max(np.abs(vals - wc) / np.abs(wc)) < 1e-12
