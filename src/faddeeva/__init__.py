@@ -33,7 +33,6 @@ from .errors import (
     EvaluationError,
     FaddeevaError,
     ParameterError,
-    PoleProximityError,
     SingularBoundError,
 )
 
@@ -59,7 +58,6 @@ __all__ = [
     "FaddeevaError",
     "DomainError",
     "ParameterError",
-    "PoleProximityError",
     "EvaluationError",
     "SingularBoundError",
     "ConstructionError",

@@ -241,18 +241,16 @@ def error_sweep(
     n_values,
     grid: GridSpec = GridSpec(),
     precision: str = "binary64",
-    subsample: int | None = None,
     workers: int | None = None,
 ) -> list[SweepRecord]:
     """Max abs/rel error of the order-n evaluator vs the oracle, per n.
 
     ``precision="xprec"`` evaluates in double-double and is required for any
-    n >= 12 (the binary64 arithmetic floor hides the true error there).  For
-    xprec runs a deterministic 1-in-16 subsample is used unless ``subsample``
-    overrides it; binary64 runs use the full grid by default.  Points where
-    the oracle is not finite are excluded (and logged); relative errors
-    count only where the oracle is nonzero and Im(z) >= 0.  Parallel and
-    serial runs produce identical records.
+    n >= 12 (the binary64 arithmetic floor hides the true error there).
+    xprec runs use every 16th grid point, binary64 runs the full grid.
+    Points where the oracle is not finite are excluded (and logged);
+    relative errors count only where the oracle is nonzero and Im(z) >= 0.
+    Parallel and serial runs produce identical records.
     """
     n_values = list(n_values)
     if not n_values:
@@ -263,10 +261,8 @@ def error_sweep(
         raise ParameterError("orders >= 12 require precision='xprec'")
 
     z = gen_grid(grid)
-    if subsample is None:
-        subsample = 16 if precision == "xprec" else 1
-    if subsample > 1:
-        z = z[::subsample]
+    if precision == "xprec":
+        z = z[::16]
 
     evaluate = w_ref if precision == "xprec" else core.w_plane
     maxima = _max_errors(z, [(functools.partial(evaluate, n=n), None) for n in n_values], workers)

@@ -17,13 +17,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, PoleProximityError
+from .errors import DomainError, ParameterError
 
 N_MAX = 25
 DEFAULT_N = 11
-
-# distance guard for non-dispatched calls to the raw rules
-_POLE_GUARD = 1e-3
 
 # points per block of the evaluation pass: a block's input, output and
 # complex temporaries stay in L2 (chosen from a sweep of block sizes)
@@ -57,29 +54,20 @@ class EvalParams:
     n: int
 
     def __post_init__(self):
-        if not _is_order(self.n):
-            raise ParameterError(f"order must be in [0, {N_MAX}], got {self.n!r}")
+        step_size(self.n)
 
     @property
     def h(self) -> float:
         return step_size(self.n)
 
-    @property
-    def t_nodes(self):
-        """Midpoint nodes t_k = (k+1/2)h, k = 0..N."""
-        return (np.arange(self.n + 1) + 0.5) * self.h
-
-    @property
-    def tau_nodes(self):
-        """Trapezoidal nodes tau_k = kh, k = 1..N."""
-        return np.arange(1, self.n + 1) * self.h
-
 
 @functools.lru_cache(maxsize=32)
 def _node_data(n: int):
-    p = EvalParams(n)
-    t = p.t_nodes
-    tau = p.tau_nodes
+    """Midpoint nodes t_k = (k+1/2)h, k = 0..N, trapezoidal nodes tau_k = kh,
+    k = 1..N, and their weights exp(-node^2)."""
+    h = step_size(n)
+    t = (np.arange(n + 1) + 0.5) * h
+    tau = np.arange(1, n + 1) * h
     return t, np.exp(-t * t), tau, np.exp(-tau * tau)
 
 
@@ -149,37 +137,6 @@ def _rule(z, p: EvalParams, tag: BranchTag):
         return _trap_sum_raw(z, p, z2) + _corrections(z, p, z2, tag)
     s = _mid_sum_raw(z, p, z2)
     return s if tag is BranchTag.M else s + _corrections(z, p, z2, tag)
-
-
-def w_mid_sum(z, p: EvalParams):
-    """Midpoint-rule sum approximation; valid away from the nodes +-t_k."""
-    z = _as_xy(z)
-    scalar = z.ndim == 0
-    t, _, _, _ = _node_data(p.n)
-    dmin = np.min(np.abs(np.abs(z.reshape(-1, 1).real) + 1j * z.reshape(-1, 1).imag - t), axis=1)
-    if np.any(dmin < p.h * _POLE_GUARD):
-        raise PoleProximityError("argument within h/1000 of a midpoint node")
-    return _scalar_out(_rule(np.atleast_1d(z), p, BranchTag.M).reshape(z.shape), scalar)
-
-
-def w_mod_mid(z, p: EvalParams):
-    """Midpoint sum plus residue correction; first-quadrant arguments."""
-    z = _as_xy(z)
-    scalar = z.ndim == 0
-    if np.any(z.real < 0) or np.any(z.imag < 0):
-        raise DomainError("w_mod_mid requires Re(z) >= 0 and Im(z) >= 0")
-    return _scalar_out(_rule(np.atleast_1d(z), p, BranchTag.MM).reshape(z.shape), scalar)
-
-
-def w_mod_trap(z, p: EvalParams):
-    """Trapezoidal sum plus residue correction; Re(z) > 0 required."""
-    z = _as_xy(z)
-    scalar = z.ndim == 0
-    if np.any(np.abs(z) < p.h * _POLE_GUARD):
-        raise PoleProximityError("argument within h/1000 of the origin pole")
-    if np.any(z.real <= 0):
-        raise DomainError("w_mod_trap requires Re(z) > 0")
-    return _scalar_out(_rule(np.atleast_1d(z), p, BranchTag.MT).reshape(z.shape), scalar)
 
 
 def _branch_masks(x, y, p: EvalParams):
@@ -267,23 +224,19 @@ def _quadrant1_block(zq, p: EvalParams, out, arith: _Arithmetic):
             out[idx] = arith.rule(zq[idx], p, tag)
 
 
-def _evaluate(z, p: EvalParams, plane: bool, arith: _Arithmetic = _BINARY64):
+def _evaluate(z, p: EvalParams, arith: _Arithmetic = _BINARY64):
     """w_N on validated points, in blocks of _BLOCK points; the flat result.
 
-    With ``plane`` false the points lie in the closed first quadrant and
-    are evaluated as given.  With ``plane`` true each point is folded to
-    |x| + i|y|, evaluated there, and mapped back: conjugated for x < 0 in
-    the upper half-plane, reflected through w(z) = 2 e^{-z^2} - w(-z) in the
-    lower one.  Only one block's temporaries are alive at a time.
+    Each point is folded to |x| + i|y|, evaluated there, and mapped back:
+    conjugated for x < 0 in the upper half-plane, reflected through
+    w(z) = 2 e^{-z^2} - w(-z) in the lower one.  Only one block's
+    temporaries are alive at a time.
     """
     zf = z.reshape(-1)
     out = arith.empty(zf.size)
     for i in range(0, zf.size, _BLOCK):
         zb = zf[i:i + _BLOCK]
         ob = out[i:i + _BLOCK]
-        if not plane:
-            _quadrant1_block(zb, p, ob, arith)
-            continue
         x, y = zb.real, zb.imag
         if np.isinf(y).any():
             # the rules give NaNs there; refuse rather than return them
@@ -310,7 +263,7 @@ def w_quadrant1(z, n: int = DEFAULT_N):
     z = _as_xy(z)
     if np.any(z.real < 0) or np.any(z.imag < 0):
         raise DomainError("w_quadrant1 requires the closed first quadrant")
-    return _scalar_out(_evaluate(z, p, plane=False).reshape(z.shape), z.ndim == 0)
+    return _scalar_out(_evaluate(z, p).reshape(z.shape), z.ndim == 0)
 
 
 def w_plane(z, n: int = DEFAULT_N):
@@ -321,16 +274,23 @@ def w_plane(z, n: int = DEFAULT_N):
     """
     p = EvalParams(n)
     z = _as_xy(z)
-    return _scalar_out(_evaluate(z, p, plane=True).reshape(z.shape), z.ndim == 0)
+    return _scalar_out(_evaluate(z, p).reshape(z.shape), z.ndim == 0)
 
 
 def erfc_c(z, n: int = DEFAULT_N):
-    """Complementary error function erfc(z) = e^{-z^2} w(iz)."""
+    """Complementary error function erfc(z) = e^{-z^2} w(iz) for Re z >= 0.
+
+    For Re z < 0 it is 2 - erfc(-z), so that w is only ever evaluated in
+    the upper half-plane, where it is small and needs no reflection.
+    """
     z = _as_xy(z)
     scalar = z.ndim == 0
+    neg = z.real < 0
+    zr = np.where(neg, -z, z)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        out = np.exp(-(z * z)) * w_plane(1j * z, n)
-    return _scalar_out(np.asarray(out), scalar)
+        out = np.exp(-(zr * zr)) * w_plane(1j * zr, n)
+        out = np.where(neg, 2.0 - out, out)
+    return _scalar_out(out, scalar)
 
 
 def erf_c(z, n: int = DEFAULT_N):
@@ -345,16 +305,13 @@ def erfcx_c(z, n: int = DEFAULT_N):
 
 
 def dawson_real(x, n: int = DEFAULT_N):
-    """Dawson's integral for real x: (sqrt(pi)/2) Im w(x), odd in x."""
+    """Dawson's integral for real x: (sqrt(pi)/2) Im w(x).
+
+    It is odd in x exactly: the fold conjugates w(|x|) for x < 0.
+    """
     x = np.asarray(x, dtype=np.float64)
-    if np.any(np.isnan(x)):
-        raise DomainError("NaN input")
-    scalar = x.ndim == 0
-    w = np.asarray(w_quadrant1(np.abs(x) + 0j, n))
-    out = np.copysign(1.0, x) * (math.sqrt(math.pi) / 2.0) * w.imag
-    # exact odd extension: D(0) = 0 with the sign of x preserved elsewhere
-    out = np.where(x == 0.0, 0.0, out)
-    return float(out) if scalar else out
+    out = (math.sqrt(math.pi) / 2.0) * np.asarray(w_plane(x + 0j, n)).imag
+    return float(out) if x.ndim == 0 else out
 
 
 def voigt_kl(x, y, n: int = DEFAULT_N):

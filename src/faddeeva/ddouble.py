@@ -20,7 +20,6 @@ PI = (3.141592653589793, 1.2246467991473532e-16)
 TWO_PI = (6.283185307179586, 2.4492935982947064e-16)
 PI_2 = (1.5707963267948966, 6.123233995736766e-17)
 LN2 = (0.6931471805599453, 2.3190468138462996e-17)
-E = (2.718281828459045, 1.4456468917292502e-16)
 SQRT_PI = (1.772453850905516, -7.666586499825799e-17)
 
 _EXP_MAX = 709.0
@@ -93,10 +92,6 @@ class DD:
     def __repr__(self):
         return f"DD({self.hi!r}, {self.lo!r})"
 
-    def is_normalized(self):
-        """hi + lo rounds back to hi (non-overlapping pair)."""
-        return np.all(self.hi + self.lo == self.hi)
-
     # -- arithmetic ------------------------------------------------------
 
     def __neg__(self):
@@ -150,17 +145,6 @@ class DD:
 
     def __rtruediv__(self, other):
         return DD(other) / self
-
-    # -- comparison -------------------------------------------------------
-
-    def __eq__(self, other):  # noqa: D105
-        if not isinstance(other, DD):
-            other = DD(other)
-        return (self.hi == other.hi) & (self.lo == other.lo)
-
-    def abs(self):
-        neg = self.hi < 0
-        return DD(np.where(neg, -self.hi, self.hi), np.where(neg, -self.lo, self.lo))
 
 
 def dd_where(mask, a: DD, b: DD) -> DD:
@@ -273,9 +257,6 @@ class DDComplex:
     def to_complex(self):
         out = (self.re.hi + self.re.lo) + 1j * (self.im.hi + self.im.lo)
         return complex(out) if np.ndim(out) == 0 else out
-
-    def conj(self):
-        return DDComplex(self.re, -self.im)
 
     def __neg__(self):
         return DDComplex(-self.re, -self.im)

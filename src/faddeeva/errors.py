@@ -13,10 +13,6 @@ class ParameterError(FaddeevaError, ValueError):
     """A configuration parameter is out of its admissible range."""
 
 
-class PoleProximityError(FaddeevaError, ValueError):
-    """Argument is too close to a quadrature node for a direct rule call."""
-
-
 class EvaluationError(FaddeevaError, ArithmeticError):
     """A numerical evaluation broke down (division by zero, non-finite result)."""
 

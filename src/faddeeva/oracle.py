@@ -137,7 +137,7 @@ def w_ref(z, n: int = ORACLE_N) -> DDComplex:
     # rebinds _w_q1_dd by module attribute, and a tuple made at import would
     # keep the unwrapped function
     dd = core._Arithmetic(DDComplex.zeros, _w_q1_dd, _negate_imag_dd, _reflect_dd)
-    out = core._evaluate(z, core.EvalParams(n), plane=True, arith=dd)
+    out = core._evaluate(z, core.EvalParams(n), arith=dd)
     return out[0] if z.ndim == 0 else out
 
 
@@ -185,7 +185,7 @@ def _gl_rule_dd(order: int):
 
 @functools.lru_cache(maxsize=16)
 def _panel_nodes(panels: int, order: int, lo: float, hi: float):
-    """All panel nodes over [lo, hi], their weights, and exp(-t^2) at them."""
+    """All panel nodes t over [lo, hi], and their weights times exp(-t^2)."""
     xg, wg = _gl_rule_dd(order)
     width = (hi - lo) / panels
     centers = lo + width * (np.arange(panels) + 0.5)
@@ -243,24 +243,11 @@ def erfc_quadrature(x: float) -> DD:
     """erfc(x) for real x in [0, T]: (2/sqrt(pi)) Integral_x^T exp(-t^2)."""
     if not (0.0 <= x <= _T_CUT):
         raise ParameterError("erfc_quadrature requires 0 <= x <= 12")
-    xg, wg = _gl_rule_dd(24)
-    order = xg.hi.size
     panels = 256
     prev = None
     while panels <= 2048:
-        width = (_T_CUT - x) / panels
-        half = width / 2.0
-        centers = x + width * (np.arange(panels) + 0.5)
-        t_hi = np.empty(panels * order)
-        t_lo = np.empty(panels * order)
-        for i, c in enumerate(centers):
-            t = xg * half + c
-            sl = slice(i * order, (i + 1) * order)
-            t_hi[sl], t_lo[sl] = t.hi, t.lo
-        t = DD(t_hi, t_lo)
-        wts = DD(np.tile(wg.hi, panels), np.tile(wg.lo, panels))
-        acc = dd_sum(dd_exp(-(t * t)) * wts * half)
-        total = acc * (2.0 / DD.from_pair(SQRT_PI))
+        _, weights = _panel_nodes(panels, 24, x, _T_CUT)
+        total = dd_sum(weights) * (2.0 / DD.from_pair(SQRT_PI))
         if prev is not None and abs((total - prev).to_float()) <= 1e-29 * max(
             1e-30, abs(total.to_float())
         ):

@@ -116,7 +116,7 @@ class TestCriterion2BoundSuite:
         floor = 1e-26
         ok = True
         detail = []
-        # deterministic 1-in-16 subsample of the polar grid
+        # every 16th point of the polar grid
         for rec in bench.error_sweep(range(12, 20), precision="xprec"):
             a, r, n = rec.max_abs_err, rec.max_rel_err, rec.n
             if not (a <= abs_bound(n) + floor and r <= rel_bound(n) + floor):
@@ -197,6 +197,7 @@ class TestCriterion5AccuracyTable:
 class TestCriterion6Identities:
     def test_identity_suite(self, polar_grid):
         p11 = core.EvalParams(11)
+        M, MM, MT = core.BranchTag.M, core.BranchTag.MM, core.BranchTag.MT
         c1 = abs_bound(11)
         msgs = []
 
@@ -224,11 +225,11 @@ class TestCriterion6Identities:
         xb = (k + u) * h  # phase inside the trapezoidal window
         yb = rng.uniform(0.0, 1.0, 500) * np.minimum(xb, np.pi / h) * 0.99
         zb = xb + 1j * yb
-        d1 = np.abs(core.w_mod_trap(zb, p11) - core.w_mod_mid(zb, p11))
+        d1 = np.abs(core._rule(zb, p11, MT) - core._rule(zb, p11, MM))
         # and along the diagonal y = x (midpoint vs plain-sum handoff)
         t = np.linspace(np.pi / h + 0.1, 30.0, 500)
         zd = t * (1 + 1j)
-        d2 = np.abs(np.asarray(core.w_mid_sum(zd, p11)) - np.asarray(core.w_mod_mid(zd, p11)))
+        d2 = np.abs(core._rule(zd, p11, M) - core._rule(zd, p11, MM))
         cont = float(max(np.max(d1), np.max(d2)))
         ok_cont = cont <= tol
         msgs.append(f"branch continuity {cont:.1e} <= {tol:.1e}")

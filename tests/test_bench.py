@@ -91,10 +91,11 @@ class TestErrorSweep:
         with pytest.raises(ParameterError):
             error_sweep([12], SMALL, precision="binary64")
 
-    def test_xprec_subsample(self):
-        (rec,) = error_sweep([14], SMALL, precision="xprec", subsample=8)
+    def test_xprec_every_16th_point(self):
+        (rec,) = error_sweep([14], SMALL, precision="xprec")
         assert rec.max_abs_err <= rec.bound_abs + 1e-26
         assert rec.max_abs_err > 0.0
+        assert rec.argmax_abs in bench.gen_grid(SMALL)[::16]
 
     def test_empty_n_values(self):
         with pytest.raises(ParameterError):

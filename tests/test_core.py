@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 import faddeeva
 from faddeeva import core
 from faddeeva.bounds import abs_bound
-from faddeeva.errors import DomainError, ParameterError, PoleProximityError
-from faddeeva.oracle import w_oracle
+from faddeeva.errors import DomainError, ParameterError
+from faddeeva.oracle import erfc_oracle, w_oracle
 
 P11 = core.EvalParams(11)
 
@@ -43,9 +43,12 @@ class TestStepSize:
 
 class TestEvalParams:
     def test_nodes(self):
-        p = core.EvalParams(3)
-        np.testing.assert_allclose(p.t_nodes, (np.arange(4) + 0.5) * p.h)
-        np.testing.assert_allclose(p.tau_nodes, np.arange(1, 4) * p.h)
+        h = core.EvalParams(3).h
+        t, et, tau, etau = core._node_data(3)
+        np.testing.assert_allclose(t, (np.arange(4) + 0.5) * h)
+        np.testing.assert_allclose(tau, np.arange(1, 4) * h)
+        np.testing.assert_allclose(et, np.exp(-t * t))
+        np.testing.assert_allclose(etau, np.exp(-tau * tau))
 
     @pytest.mark.parametrize("n", [True, False])
     def test_bool_rejected(self, n):
@@ -86,61 +89,58 @@ class TestOrderArgument:
         assert "EvalParams" not in faddeeva.__all__
 
 
+def rule(z, tag):
+    """The quadrature formula ``tag`` of order 11 at z, without the dispatch."""
+    z = np.asarray(z, dtype=np.complex128)
+    out = core._rule(np.atleast_1d(z), P11, tag)
+    return complex(out[0]) if z.ndim == 0 else out
+
+
+M, MM, MT = core.BranchTag.M, core.BranchTag.MM, core.BranchTag.MT
+
+
 class TestMidSum:
     def test_zero(self):
-        assert core.w_mid_sum(0j, P11) == 0j
+        assert rule(0j, M) == 0j
 
     def test_reflection_symmetry(self):
         z = 1 + 2j
-        a = core.w_mid_sum(-np.conj(z), P11)
-        b = core.w_mid_sum(z, P11)
+        a = rule(-np.conj(z), M)
+        b = rule(z, M)
         assert a == np.conj(b)
 
     def test_imag_axis_matches_oracle(self):
         # w(10i) = erfcx(10); M-branch territory
         ref = oracle_c(10j)
-        assert abs(core.w_mid_sum(10j, P11) - ref) < 2e-15
-
-    def test_pole_guard(self):
-        t0 = 0.5 * P11.h
-        with pytest.raises(PoleProximityError):
-            core.w_mid_sum(t0 + 1e-9j, P11)
+        assert abs(rule(10j, M) - ref) < 2e-15
 
 
 class TestModMid:
     def test_origin_exact(self):
-        assert core.w_mod_mid(0j, P11) == 1.0 + 0j
+        assert rule(0j, MM) == 1.0 + 0j
 
     @pytest.mark.parametrize("z", [1 + 2j, 3 + 0.1j])
     def test_vs_oracle(self, z):
-        assert abs(core.w_mod_mid(z, P11) - oracle_c(z)) < abs_bound(11)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            core.w_mod_mid(-1 + 1j, P11)
+        assert abs(rule(z, MM) - oracle_c(z)) < abs_bound(11)
 
 
 class TestModTrap:
     def test_vs_oracle(self):
         z = 3.2 + 0.1j  # frac(3.2/h) ~ 0.254, inside the MT window
-        assert core.select_branch(z, 11) is core.BranchTag.MT
-        assert abs(core.w_mod_trap(z, P11) - oracle_c(z)) < abs_bound(11)
+        assert core.select_branch(z, 11) is MT
+        assert abs(rule(z, MT) - oracle_c(z)) < abs_bound(11)
 
     def test_real_axis_midwindow(self):
         x = 1.5 * P11.h
-        v = core.w_mod_trap(x + 0j, P11)
+        v = rule(x + 0j, MT)
         assert abs(v.real - math.exp(-x * x)) < abs_bound(11)
 
     def test_branch_agreement(self):
         # both rules valid at (k+3/4)h + 0.1i; they agree to 2*C1*e^{-pi N}
         for k in (2, 4, 7):
             z = (k + 0.75) * P11.h + 0.1j
-            d = abs(core.w_mod_trap(z, P11) - core.w_mod_mid(z, P11))
+            d = abs(rule(z, MT) - rule(z, MM))
             assert d <= 2 * abs_bound(11) + 8e-15
-
-    def test_origin_guard(self):
-        with pytest.raises(PoleProximityError):
-            core.w_mod_trap(1e-8 + 0j, P11)
 
 
 class TestSelectBranch:
@@ -165,6 +165,16 @@ class TestQuadrant1:
 
     def test_imag_axis(self):
         assert abs(core.w_quadrant1(10j, 11) - oracle_c(10j)) < 2e-15
+
+    @pytest.mark.parametrize("z", [-1 + 1j, 1 - 1j])
+    def test_domain(self, z):
+        with pytest.raises(DomainError):
+            core.w_quadrant1(z, 11)
+
+    def test_infinite_imag_rejected(self):
+        # as w_plane does; the rules would give NaN there
+        with pytest.raises(DomainError):
+            core.w_quadrant1(complex(1.0, np.inf), 11)
 
     def test_node_distance_guarantee(self):
         # each point is at least h/4 from the poles of its dispatched rule:
@@ -293,6 +303,21 @@ class TestDerived:
         assert abs(core.erfc_c(1 + 0j, 11) - 0.15729920705028513) < 3e-16
         s = core.erfc_c(0.7 + 0.3j, 11) + core.erfc_c(-0.7 - 0.3j, 11)
         assert abs(s - 2.0) < 4e-15
+
+    def test_erfc_components_vs_oracle(self):
+        # Re z < 0 goes through erfc(z) = 2 - erfc(-z); each component is
+        # checked relative to the larger of itself and |erfc(zr)| at the
+        # point zr = +-z with Re zr >= 0 that is evaluated, because a
+        # component crossing zero keeps an error of a few ulp of |erfc(zr)|
+        rng = np.random.default_rng(5)
+        z = rng.uniform(-6, 6, 2000) + 1j * rng.uniform(-3, 3, 2000)
+        v = core.erfc_c(z, 11)
+        ref = erfc_oracle(z).to_complex()
+        scale = np.abs(erfc_oracle(np.where(z.real < 0, -z, z)).to_complex())
+        for part in (np.real, np.imag):
+            err = np.abs(part(v) - part(ref)) / (np.abs(part(ref)) + scale)
+            assert np.max(err) < 1e-14, part.__name__
+        assert core.erfc_c(-27.0, 11) == core.erfc_c(-30.0, 11) == 2.0
 
     def test_erf_examples(self):
         assert core.erf_c(0j, 11) == 0j
