@@ -8,6 +8,17 @@ gives absolute errors below 3.5e-28 (relative below 9.4e-27 in the upper
 half-plane). An independent certification route integrates the defining
 Cauchy integral of w with composite Gauss-Legendre panels, also in
 double-double.
+
+One step differs from the binary64 evaluator: the MM and MT residue
+correction 2 e^{-z^2} q/(1 +- q), q = e^{2 i pi z/h}, is computed only
+where the binary64 estimate of its exponent, y^2 - x^2 - 2 pi y/h, is at
+least -750.  Below that, y < x (an MM point with y >= x has y < pi/h, so
+its exponent is above -2 pi (N+1) >= -164), and for y < x the dispatch
+puts 2 pi x/h within pi/2 of a multiple of 2 pi on MM points and of an odd
+multiple of pi on MT points.  So |1 +- q| >= 1, and the correction is below
+2 e^-750, under half the smallest subnormal: computed, it is exactly 0.
+Skipping it is exact, and it keeps dd_sincos away from phases such as
+2 pi x/h ~ 1e40, past the reach of its binary64 argument reduction.
 """
 
 from __future__ import annotations
@@ -33,6 +44,11 @@ from .ddouble import (
 from .errors import ParameterError
 
 ORACLE_N = 20
+
+#: the residue correction is computed where the binary64 estimate of its
+#: exponent, y^2 - x^2 - 2 pi y/h, is at least this; 2 e^-750 is below half
+#: the smallest subnormal
+_LIVE_EXPONENT = -750.0
 
 
 @functools.lru_cache(maxsize=8)
@@ -69,16 +85,23 @@ def _exp_neg_z2_dd(sq):
 
 
 def _pole_sum_dd(x, y, sq, nodes2, weights, two_h_over_pi):
-    """(2ihz/pi) sum_k weights_k/(z^2 - nodes2_k), accumulated from the last node."""
+    """(2ihz/pi) sum_k weights_k/(z^2 - nodes2_k), accumulated from the last node.
+
+    With z^2 = A + iB and a_k = A - nodes2_k, each term is
+    weights_k (a_k - iB)/(a_k^2 + B^2), so the sum is S1 - iB S0 for the
+    real sums S0 = sum weights_k/|d_k|^2 and S1 = sum weights_k a_k/|d_k|^2.
+    """
     z2 = sq[0]
-    acc = DDComplex.zeros(x.shape)
+    b2 = z2.im * z2.im
+    s0 = DD(np.zeros(x.shape))
+    s1 = DD(np.zeros(x.shape))
     for k in range(len(nodes2) - 1, -1, -1):
-        d = DDComplex(z2.re - nodes2[k], z2.im)
-        # weights_k/d = weights_k conj(d)/|d|^2
-        s = weights[k] / d.abs2()
-        acc = acc + DDComplex(s * d.re, -(s * d.im))
+        a = z2.re - nodes2[k]
+        s = weights[k] / (a * a + b2)
+        s0 = s0 + s
+        s1 = s1 + s * a
     # prefactor (2ih/pi) z = (2h/pi)(-y + ix)
-    return DDComplex(two_h_over_pi * (-y), two_h_over_pi * x) * acc
+    return DDComplex(two_h_over_pi * (-y), two_h_over_pi * x) * DDComplex(s1, -(z2.im * s0))
 
 
 def _mid_sum_dd(x, y, sq, n):
@@ -110,9 +133,20 @@ def _w_q1_dd(zq, p: core.EvalParams, tag: BranchTag):
     x, y = zq.real, zq.imag
     sq = _z2_dd(x, y)
     if tag is BranchTag.MT:
-        return _trap_sum_dd(x, y, sq, p.n) + _corrections_dd(x, y, sq, p.n, tag)
-    s = _mid_sum_dd(x, y, sq, p.n)
-    return s if tag is BranchTag.M else s + _corrections_dd(x, y, sq, p.n, tag)
+        w = _trap_sum_dd(x, y, sq, p.n)
+    else:
+        w = _mid_sum_dd(x, y, sq, p.n)
+        if tag is BranchTag.M:
+            return w
+    # the correction is exactly 0 below the cut (see the module docstring)
+    with np.errstate(over="ignore", invalid="ignore"):
+        live = np.flatnonzero(y * y - x * x - (2.0 * np.pi / p.h) * y >= _LIVE_EXPONENT)
+    if live.size == x.size:
+        return w + _corrections_dd(x, y, sq, p.n, tag)
+    if live.size:
+        sql = tuple(v[live] for v in sq)
+        w[live] = w[live] + _corrections_dd(x[live], y[live], sql, p.n, tag)
+    return w
 
 
 def _negate_imag_dd(w: DDComplex, where):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from faddeeva import ddouble
 from faddeeva.ddouble import (
     DD,
     DDComplex,
@@ -17,6 +18,8 @@ from faddeeva.ddouble import (
     dd_sum,
 )
 from faddeeva.errors import EvaluationError
+
+mp = pytest.importorskip("mpmath")
 
 EPS_DD = 2.0**-104
 
@@ -48,6 +51,17 @@ class TestArithmetic:
         # long-division oracle: correctly rounded 106-bit third
         exact = Fraction(1, 3)
         assert rel_err(r, exact) <= EPS_DD
+
+    def test_div_random_operands(self):
+        rng = np.random.default_rng(8)
+        n = 2000
+        hi = rng.uniform(0.5, 2.0, (2, n)) * 10.0 ** rng.integers(-8, 8, (2, n))
+        lo = hi * rng.uniform(-1.0, 1.0, (2, n)) * 2.0**-54
+        a, b = DD(hi[0]) + DD(lo[0]), DD(hi[1]) + DD(lo[1])
+        q = a / b
+        for i in range(n):
+            exact = dd_value(a[i]) / dd_value(b[i])
+            assert rel_err(q[i], exact) <= EPS_DD
 
     def test_div_by_zero_raises(self):
         with pytest.raises(EvaluationError):
@@ -148,3 +162,91 @@ class TestReductions:
         exact = sum(Fraction(x) for x in v)
         err = abs(float(dd_value(s) - exact))
         assert err < abs(float(exact)) * 1e-28 + 1e-28
+
+
+class TestAgainstMpmath:
+    """The elementary kernels and their constants against mpmath at 200 bits."""
+
+    @pytest.fixture(autouse=True)
+    def _precision(self):
+        with mp.workprec(200):
+            yield
+
+    @staticmethod
+    def mp_value(x: DD, i):
+        return mp.mpf(float(x.hi[i])) + mp.mpf(float(x.lo[i]))
+
+    @staticmethod
+    def rounded(v):
+        """An mpmath value rounded to double-double."""
+        hi = float(v)
+        return hi, float(v - hi)
+
+    @staticmethod
+    def with_lo(x, rng):
+        """DD inputs whose low parts are populated, as computed values are."""
+        return DD(x) + DD(x * rng.uniform(-1.0, 1.0, x.size) * 2.0**-54)
+
+    def test_exp(self):
+        # a >= -669 keeps both parts of e^a normal; below, the low part is
+        # subnormal and the result cannot carry 106 bits
+        rng = np.random.default_rng(11)
+        m = np.arange(-965, 1010, 5.0)
+        x = np.concatenate([
+            rng.uniform(-669.0, 700.0, 600), rng.uniform(-1.0, 1.0, 100),
+            # the reduction edges (m + 1/2) ln 2 and the multiples m ln 2
+            (m + 0.5) * math.log(2.0), m * math.log(2.0), [0.0, -669.0, 700.0],
+        ])
+        x = x[(x >= -669.0) & (x <= 700.0)]
+        a = self.with_lo(x, rng)
+        e = dd_exp(a)
+        for i in range(x.size):
+            exact = mp.exp(self.mp_value(a, i))
+            assert abs((self.mp_value(e, i) - exact) / exact) <= 1e-30, x[i]
+
+    def test_sincos(self):
+        rng = np.random.default_rng(12)
+        edges = DD.from_pair(ddouble.PI) * (np.arange(-96, 97) / 32.0)
+        near = np.concatenate([edges.hi, edges.hi + 1e-15, edges.hi - 1e-15])
+        x = np.concatenate([
+            rng.uniform(-1e4, 1e4, 400), rng.uniform(-4.0, 4.0, 200),
+            near, -near, [0.0, -0.0, 1e4, -1e4],
+        ])
+        a = self.with_lo(x, rng)
+        s, c = dd_sincos(a)
+        for i in range(x.size):
+            v = self.mp_value(a, i)
+            assert abs(self.mp_value(s, i) - mp.sin(v)) <= 1e-29, x[i]
+            assert abs(self.mp_value(c, i) - mp.cos(v)) <= 1e-29, x[i]
+        # the table edges themselves, as double-double values
+        s, c = dd_sincos(edges)
+        for i in range(edges.hi.size):
+            v = self.mp_value(edges, i)
+            assert abs(self.mp_value(s, i) - mp.sin(v)) <= 1e-29
+            assert abs(self.mp_value(c, i) - mp.cos(v)) <= 1e-29
+
+    def test_constants_are_rounded_values(self):
+        for j, c in enumerate(ddouble._INV_FACT):
+            assert (c.hi, c.lo) == self.rounded(1 / mp.factorial(j)), j
+        for j in range(32):
+            table = (ddouble._SIN_TABLE[0][j], ddouble._SIN_TABLE[1][j])
+            assert table == self.rounded(mp.sinpi(mp.mpf(j) / 16)), j
+        assert ddouble.PI_16 == self.rounded(mp.pi / 16)
+        for pair, third, exact in (
+            (ddouble.TWO_PI, ddouble._TWO_PI_3, 2 * mp.pi),
+            (ddouble.LN2, ddouble._LN2_3, mp.log(2)),
+        ):
+            assert pair == self.rounded(exact)
+            assert third == float(exact - pair[0] - pair[1])
+
+    def test_scalar_and_array_bits_agree(self):
+        rng = np.random.default_rng(13)
+        x = np.concatenate([rng.uniform(-700.0, 700.0, 40), [0.0, -0.0, math.pi / 32]])
+        a = self.with_lo(x, rng)
+        vec = [dd_exp(a), *dd_sincos(a)]
+        for i in range(x.size):
+            one = DD(a.hi[i], a.lo[i])
+            for v, f in zip(vec, [dd_exp(one), *dd_sincos(one)]):
+                assert np.shape(f.hi) == ()
+                bits = np.float64(f.hi).tobytes() + np.float64(f.lo).tobytes()
+                assert bits == v.hi[i].tobytes() + v.lo[i].tobytes(), x[i]

@@ -9,6 +9,9 @@ double-double with panel doubling until convergence.
 import numpy as np
 import pytest
 
+import faddeeva
+from faddeeva import core, oracle
+from faddeeva.core import BranchTag
 from faddeeva.ddouble import DD, dd_exp
 from faddeeva.oracle import (
     ORACLE_N,
@@ -111,6 +114,35 @@ class TestCertification:
         lhs = v[2] + v[1]
         rhs = 2.0 * np.exp(-(z[1] * z[1]))
         assert abs(lhs - rhs) < 1e-14 * abs(rhs)
+
+
+class TestCorrectionSkip:
+    def test_skipped_corrections_are_zero(self):
+        # MM and MT points whose exponent y^2 - x^2 - 2 pi y/h lies just
+        # below the cut: computed anyway, the correction is exactly 0
+        p = core.EvalParams(ORACLE_N)
+        rng = np.random.default_rng(17)
+        y = rng.uniform(0.0, 46.0, 4000)
+        exponent = rng.uniform(-760.0, oracle._LIVE_EXPONENT, y.size)
+        x = np.sqrt(y * y - (2.0 * np.pi / p.h) * y - exponent)
+        assert np.all(x > y)
+        _, mt, mm = core._branch_masks(x, y, p)
+        sq = oracle._z2_dd(x, y)
+        for tag, sel in ((BranchTag.MT, mt), (BranchTag.MM, mm)):
+            idx = np.flatnonzero(sel)
+            assert idx.size > 1000
+            c = oracle._corrections_dd(x[idx], y[idx], tuple(v[idx] for v in sq), ORACLE_N, tag)
+            for part in (c.re.hi, c.re.lo, c.im.hi, c.im.lo):
+                assert not np.any(part)
+
+    def test_far_real_axis_finite(self):
+        # the correction there used to run dd_sincos on 2 pi x/h ~ 1e40,
+        # past its reduction, and returned NaN
+        z = np.array([3e38 + 0j, 1e39 + 0j, 2e39 + 1e39j])
+        got = w_oracle(z).to_complex()
+        want = faddeeva.w(z)
+        assert np.all(np.isfinite(got))
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
 
 
 @pytest.mark.parametrize("x", [0.25, 1.0, 2.0, 4.0])
