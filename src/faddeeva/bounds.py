@@ -9,6 +9,7 @@ envelopes together with their building-block constants, plus the classical
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,6 +43,7 @@ class BoundConstants:
     big_c2: float
 
 
+@functools.cache
 def constants() -> BoundConstants:
     """Evaluate the five bound constants from their defining formulas."""
     e = math.e
@@ -63,28 +65,18 @@ def constants() -> BoundConstants:
     return BoundConstants(c_a=c_a, c_r=c_r, c_star=c_star, big_c1=big_c1, big_c2=big_c2)
 
 
-_CONSTANTS = None
-
-
-def _cached_constants() -> BoundConstants:
-    global _CONSTANTS
-    if _CONSTANTS is None:
-        _CONSTANTS = constants()
-    return _CONSTANTS
-
-
 def abs_bound(n: int) -> float:
     """Uniform absolute-error bound C1 * exp(-pi*n) for the order-n evaluator."""
     if n < 0:
         raise ParameterError("order must be >= 0")
-    return _cached_constants().big_c1 * math.exp(-math.pi * n)
+    return constants().big_c1 * math.exp(-math.pi * n)
 
 
 def rel_bound(n: int) -> float:
     """Upper-half-plane relative-error bound C2 * sqrt(n+1) * exp(-pi*n)."""
     if n < 0:
         raise ParameterError("order must be >= 0")
-    return _cached_constants().big_c2 * math.sqrt(n + 1.0) * math.exp(-math.pi * n)
+    return constants().big_c2 * math.sqrt(n + 1.0) * math.exp(-math.pi * n)
 
 
 def component_bounds(n: int) -> tuple[float, float]:
@@ -99,7 +91,7 @@ def component_bounds(n: int) -> tuple[float, float]:
     pi = math.pi
     h = math.sqrt(pi / (n + 1.0))
     tau = pi / h  # == sqrt((n+1)*pi), the first dropped node
-    c = _cached_constants()
+    c = constants()
 
     expo = math.exp(-(pi / h) ** 2)  # == exp(-(n+1)*pi) == exp(-tau^2)
     trap = c.c_a * expo / (1.0 - math.exp(-2.0 * pi**2 / h**2 + math.sqrt(2.0) * pi / h))

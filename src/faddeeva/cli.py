@@ -103,12 +103,16 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_table(args) -> int:
-    grid = _grid_from_args(args)
+def _methods(args) -> list[str]:
     methods = [m.strip() for m in args.methods.split(";") if m.strip()]
     if not methods:
         raise ParameterError("no methods given")
-    rows = bench.accuracy_table(methods, grid)
+    return methods
+
+
+def cmd_table(args) -> int:
+    grid = _grid_from_args(args)
+    rows = bench.accuracy_table(_methods(args), grid)
     bench.emit(rows, _fmt_for(args.out), args.out)
     print(f"wrote {len(rows)} table rows to {args.out}")
     if args.check:
@@ -128,8 +132,7 @@ def cmd_table(args) -> int:
 
 def cmd_bench(args) -> int:
     grid = _grid_from_args(args)
-    methods = [m.strip() for m in args.methods.split(";") if m.strip()]
-    records = [bench.timing_run(m, grid, reps=args.reps) for m in methods]
+    records = [bench.timing_run(m, grid, reps=args.reps) for m in _methods(args)]
     bench.emit(records, _fmt_for(args.out), args.out)
     print(f"wrote {len(records)} timing records to {args.out}")
     return 0

@@ -130,13 +130,42 @@ def _corrections(z, p: EvalParams, z2, tag: BranchTag):
     return num
 
 
+#: the residue correction is computed where the binary64 estimate of its
+#: exponent, y^2 - x^2 - 2 pi y/h, is at least this (see _add_correction)
+_LIVE_EXPONENT = -750.0
+
+
+def _add_correction(w, z, p: EvalParams, tag: BranchTag, correction):
+    """The sum w of the formula ``tag`` on points z plus its residue correction,
+    where ``correction(i)`` computes the correction of the points z[i].
+
+    M points get none.  On MM and MT points the correction 2 e^{-z^2} q/(1 +- q)
+    is at most e^{y^2 - x^2 - 2 pi y/h} |2/(1 +- q)|.  Below the cut y < x (an
+    MM point with y >= x has y < pi/h, so its exponent is above
+    -2 pi (N+1) >= -164), and for y < x the dispatch puts 2 pi x/h within
+    pi/2 of a multiple of 2 pi on MM points and of an odd multiple of pi on
+    MT points.  So |1 +- q| >= 1, and the correction is below 2 e^-750, under
+    half the smallest subnormal: computed, it is exactly 0, so it is skipped
+    in either arithmetic.  That also keeps phases 2 pi x/h ~ 1e40, which no
+    binary64 reduction places, away from the double-double sine.
+    """
+    if tag is BranchTag.M:
+        return w
+    x, y = z.real, z.imag
+    with np.errstate(over="ignore", invalid="ignore"):
+        live = np.flatnonzero(y * y - x * x - (2.0 * np.pi / p.h) * y >= _LIVE_EXPONENT)
+    if live.size == z.size:
+        return w + correction(...)
+    if live.size:
+        w[live] = w[live] + correction(live)
+    return w
+
+
 def _rule(z, p: EvalParams, tag: BranchTag):
     """The quadrature formula ``tag`` on points z of the closed first quadrant."""
     z2 = z * z
-    if tag is BranchTag.MT:
-        return _trap_sum_raw(z, p, z2) + _corrections(z, p, z2, tag)
-    s = _mid_sum_raw(z, p, z2)
-    return s if tag is BranchTag.M else s + _corrections(z, p, z2, tag)
+    w = _trap_sum_raw(z, p, z2) if tag is BranchTag.MT else _mid_sum_raw(z, p, z2)
+    return _add_correction(w, z, p, tag, lambda i: _corrections(z[i], p, z2[i], tag))
 
 
 def _branch_masks(x, y, p: EvalParams):

@@ -8,17 +8,6 @@ gives absolute errors below 3.5e-28 (relative below 9.4e-27 in the upper
 half-plane). An independent certification route integrates the defining
 Cauchy integral of w with composite Gauss-Legendre panels, also in
 double-double.
-
-One step differs from the binary64 evaluator: the MM and MT residue
-correction 2 e^{-z^2} q/(1 +- q), q = e^{2 i pi z/h}, is computed only
-where the binary64 estimate of its exponent, y^2 - x^2 - 2 pi y/h, is at
-least -750.  Below that, y < x (an MM point with y >= x has y < pi/h, so
-its exponent is above -2 pi (N+1) >= -164), and for y < x the dispatch
-puts 2 pi x/h within pi/2 of a multiple of 2 pi on MM points and of an odd
-multiple of pi on MT points.  So |1 +- q| >= 1, and the correction is below
-2 e^-750, under half the smallest subnormal: computed, it is exactly 0.
-Skipping it is exact, and it keeps dd_sincos away from phases such as
-2 pi x/h ~ 1e40, past the reach of its binary64 argument reduction.
 """
 
 from __future__ import annotations
@@ -44,12 +33,6 @@ from .ddouble import (
 from .errors import ParameterError
 
 ORACLE_N = 20
-
-#: the residue correction is computed where the binary64 estimate of its
-#: exponent, y^2 - x^2 - 2 pi y/h, is at least this; 2 e^-750 is below half
-#: the smallest subnormal
-_LIVE_EXPONENT = -750.0
-
 
 @functools.lru_cache(maxsize=8)
 def _dd_params(n: int):
@@ -80,7 +63,9 @@ def _exp_neg_z2_dd(sq):
     """e^{-z^2} = e^{y^2 - x^2} (cos 2xy - i sin 2xy) from _z2_dd's squares."""
     z2, x2, y2 = sq
     mag = dd_exp(y2 - x2)
-    s, c = dd_sincos(z2.im)
+    # where the magnitude is 0 the phase 2xy may be past dd_sincos's reach
+    dead = mag.hi == 0.0
+    s, c = dd_sincos(DD(np.where(dead, 0.0, z2.im.hi), np.where(dead, 0.0, z2.im.lo)))
     return DDComplex(mag * c, -(mag * s))
 
 
@@ -132,21 +117,11 @@ def _w_q1_dd(zq, p: core.EvalParams, tag: BranchTag):
     """The formula ``tag`` on first-quadrant points zq, double-double throughout."""
     x, y = zq.real, zq.imag
     sq = _z2_dd(x, y)
-    if tag is BranchTag.MT:
-        w = _trap_sum_dd(x, y, sq, p.n)
-    else:
-        w = _mid_sum_dd(x, y, sq, p.n)
-        if tag is BranchTag.M:
-            return w
-    # the correction is exactly 0 below the cut (see the module docstring)
-    with np.errstate(over="ignore", invalid="ignore"):
-        live = np.flatnonzero(y * y - x * x - (2.0 * np.pi / p.h) * y >= _LIVE_EXPONENT)
-    if live.size == x.size:
-        return w + _corrections_dd(x, y, sq, p.n, tag)
-    if live.size:
-        sql = tuple(v[live] for v in sq)
-        w[live] = w[live] + _corrections_dd(x[live], y[live], sql, p.n, tag)
-    return w
+    w = _trap_sum_dd(x, y, sq, p.n) if tag is BranchTag.MT else _mid_sum_dd(x, y, sq, p.n)
+    return core._add_correction(
+        w, zq, p, tag,
+        lambda i: _corrections_dd(x[i], y[i], tuple(v[i] for v in sq), p.n, tag),
+    )
 
 
 def _negate_imag_dd(w: DDComplex, where):

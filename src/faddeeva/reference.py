@@ -11,6 +11,7 @@ Three well-known alternatives to the quadrature-based evaluator in
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,14 +133,10 @@ def weideman_fit_coeffs(n: int, oracle=None) -> WeidemanModel:
     return model
 
 
-_DEFAULT_WEIDEMAN: dict[int, WeidemanModel] = {}
-
-
+@functools.lru_cache(maxsize=8)
 def default_weideman_model(n: int = 40) -> WeidemanModel:
     """Return (and cache) the standard fitted model of the given order."""
-    if n not in _DEFAULT_WEIDEMAN:
-        _DEFAULT_WEIDEMAN[n] = weideman_fit_coeffs(n)
-    return _DEFAULT_WEIDEMAN[n]
+    return weideman_fit_coeffs(n)
 
 
 def weideman_eval(z, m: WeidemanModel):

@@ -300,6 +300,14 @@ class TestCli:
         assert r.returncode == 0, r.stderr
         assert "mean_seconds" in out.read_text()
 
+    @pytest.mark.parametrize("command", ["table", "bench"])
+    def test_empty_methods_exit_2(self, tmp_path, command):
+        out = tmp_path / "x.csv"
+        r = run_cli(command, "--methods", "", "--out", str(out))
+        assert r.returncode == 2
+        assert "no methods given" in r.stderr
+        assert not out.exists()
+
     def test_bad_params_exit_2(self, tmp_path):
         r = run_cli("sweep", "--n-min", "5", "--n-max", "3", "--out", str(tmp_path / "x.csv"))
         assert r.returncode == 2

@@ -117,28 +117,55 @@ class TestCertification:
 
 
 class TestCorrectionSkip:
-    def test_skipped_corrections_are_zero(self):
-        # MM and MT points whose exponent y^2 - x^2 - 2 pi y/h lies just
-        # below the cut: computed anyway, the correction is exactly 0
-        p = core.EvalParams(ORACLE_N)
+    @staticmethod
+    def below_cut(p, size=4000):
+        """MM and MT points whose exponent y^2 - x^2 - 2 pi y/h lies just below the cut."""
         rng = np.random.default_rng(17)
-        y = rng.uniform(0.0, 46.0, 4000)
-        exponent = rng.uniform(-760.0, oracle._LIVE_EXPONENT, y.size)
+        y = rng.uniform(0.0, 46.0, size)
+        exponent = rng.uniform(-760.0, core._LIVE_EXPONENT, y.size)
         x = np.sqrt(y * y - (2.0 * np.pi / p.h) * y - exponent)
         assert np.all(x > y)
-        _, mt, mm = core._branch_masks(x, y, p)
-        sq = oracle._z2_dd(x, y)
-        for tag, sel in ((BranchTag.MT, mt), (BranchTag.MM, mm)):
-            idx = np.flatnonzero(sel)
-            assert idx.size > 1000
-            c = oracle._corrections_dd(x[idx], y[idx], tuple(v[idx] for v in sq), ORACLE_N, tag)
-            for part in (c.re.hi, c.re.lo, c.im.hi, c.im.lo):
-                assert not np.any(part)
+        return x, y
+
+    def test_skipped_corrections_are_zero(self):
+        # computed anyway, the correction is exactly 0 in both arithmetics
+        for n in (core.DEFAULT_N, ORACLE_N):
+            p = core.EvalParams(n)
+            x, y = self.below_cut(p)
+            _, mt, mm = core._branch_masks(x, y, p)
+            sq = oracle._z2_dd(x, y)
+            for tag, sel in ((BranchTag.MT, mt), (BranchTag.MM, mm)):
+                idx = np.flatnonzero(sel)
+                assert idx.size > 1000
+                z = x[idx] + 1j * y[idx]
+                c = core._corrections(z, p, z * z, tag)
+                assert not np.any(c.real) and not np.any(c.imag)
+                c = oracle._corrections_dd(x[idx], y[idx], tuple(v[idx] for v in sq), n, tag)
+                for part in (c.re.hi, c.re.lo, c.im.hi, c.im.lo):
+                    assert not np.any(part)
+
+    def test_w_skips_corrections_below_cut(self, monkeypatch):
+        # w computes the correction only on the corrected points above the cut
+        p = core.EvalParams(core.DEFAULT_N)
+        x, y = self.below_cut(p)
+        live = np.array([1.0 + 1.0j, 3.2 + 0.1j])
+        reached = []
+        corrections = core._corrections
+
+        def counting(z, *args):
+            reached.append(np.size(z))
+            return corrections(z, *args)
+
+        monkeypatch.setattr(core, "_corrections", counting)
+        faddeeva.w(x + 1j * y)
+        assert reached == []
+        faddeeva.w(np.concatenate([x + 1j * y, live]))
+        assert sum(reached) == live.size
 
     def test_far_real_axis_finite(self):
-        # the correction there used to run dd_sincos on 2 pi x/h ~ 1e40,
-        # past its reduction, and returned NaN
-        z = np.array([3e38 + 0j, 1e39 + 0j, 2e39 + 1e39j])
+        # the correction there used to run dd_sincos on 2 pi x/h ~ 1e40, and
+        # the reflection on 2xy ~ 4e78, past its reduction, and returned NaN
+        z = np.array([3e38 + 0j, 1e39 + 0j, 2e39 + 1e39j, 2e39 - 1e39j, -5e30 - 1e30j])
         got = w_oracle(z).to_complex()
         want = faddeeva.w(z)
         assert np.all(np.isfinite(got))
