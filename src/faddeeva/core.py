@@ -153,10 +153,13 @@ def _add_correction(w, z, p: EvalParams, tag: BranchTag, correction):
         return w
     x, y = z.real, z.imag
     with np.errstate(over="ignore", invalid="ignore"):
-        live = np.flatnonzero(y * y - x * x - (2.0 * np.pi / p.h) * y >= _LIVE_EXPONENT)
-    if live.size == z.size:
+        live = y * y - x * x - (2.0 * np.pi / p.h) * y >= _LIVE_EXPONENT
+    # boolean: a full group's index array would be alive at the correction's peak
+    count = np.count_nonzero(live)
+    if count == z.size:
         return w + correction(...)
-    if live.size:
+    if count:
+        live = np.flatnonzero(live)
         w[live] = w[live] + correction(live)
     return w
 
