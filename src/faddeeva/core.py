@@ -82,41 +82,85 @@ def _scalar_out(res, scalar):
     return complex(res) if scalar else res
 
 
-def _pole_sum(z2, nodes, weights):
-    """sum_k weights_k/(z^2 - nodes_k^2), accumulated from the last node."""
-    s = np.zeros_like(z2)
-    d = np.empty_like(z2)
-    for k in range(nodes.size - 1, -1, -1):
-        np.subtract(z2, nodes[k] * nodes[k], out=d)
-        np.divide(weights[k], d, out=d)
-        s += d
-    return s
+def _pole_sum(a, b, nodes, weights):
+    """Real sums S0 = sum_k weights_k/|d_k|^2 and S1 = sum_k weights_k a_k/|d_k|^2
+    over d_k = z^2 - nodes_k^2 = a_k + iB, a_k = A - nodes_k^2, accumulated
+    from the last node; sum_k weights_k/d_k is then S1 - iB S0.
+
+    Seven float64 passes per node.  Below the far-field cut |d_k|^2 stays
+    under about 1e81, and the dispatch keeps z at least h/4 from the
+    nodes, so it neither overflows nor underflows.
+    """
+    b2 = b * b
+    s0 = np.zeros_like(a)
+    s1 = np.zeros_like(a)
+    d = np.empty_like(a)
+    s = np.empty_like(a)
+    for t, e in zip(nodes[::-1].tolist(), weights[::-1].tolist()):
+        np.subtract(a, t * t, out=d)
+        np.multiply(d, d, out=s)
+        s += b2
+        np.divide(e, s, out=s)
+        s0 += s
+        s *= d
+        s1 += s
+    return s0, s1
 
 
-def _mid_sum_raw(z, p: EvalParams, z2):
-    """(2ihz/pi) * sum_k exp(-t_k^2)/(z^2 - t_k^2), accumulated k = N..0."""
+def _times_iz(x, y, b, s0, s1):
+    """iz (S1 - iB S0) as a complex array, from _pole_sum's S0 and S1.
+
+    The rules fold their constant 2h/pi into the weights, so it scales the
+    sums and x, y come last: a subnormal x or y is not rounded before it
+    scales an O(1) factor.
+    """
+    s0 *= b
+    # iz (S1 - iQ) = (xQ - yS1) + i(xS1 + yQ)
+    w = np.empty(x.shape, dtype=np.complex128)
+    np.multiply(x, s0, out=w.real)
+    w.real -= y * s1
+    np.multiply(x, s1, out=w.imag)
+    w.imag += y * s0
+    return w
+
+
+def _mid_sum_raw(x, p: EvalParams, y, a, b):
+    """(2ihz/pi) * sum_k exp(-t_k^2)/(z^2 - t_k^2), accumulated k = N..0, on
+    the planes z = x + iy and z^2 = a + ib."""
     t, et, _, _ = _node_data(p.n)
-    return (2j * p.h / np.pi) * z * _pole_sum(z2, t, et)
+    return _times_iz(x, y, b, *_pole_sum(a, b, t, (2.0 * p.h / np.pi) * et))
 
 
-def _trap_sum_raw(z, p: EvalParams, z2):
+def _trap_sum_raw(x, p: EvalParams, y, a, b):
     """ih/(pi z) + (2ihz/pi) * sum_{k=1}^N exp(-tau_k^2)/(z^2 - tau_k^2)."""
     _, _, tau, etau = _node_data(p.n)
-    return 1j * p.h / (np.pi * z) + (2j * p.h / np.pi) * z * _pole_sum(z2, tau, etau)
+    w = _times_iz(x, y, b, *_pole_sum(a, b, tau, (2.0 * p.h / np.pi) * etau))
+    # ih/(pi z) = (h/pi)(y + ix)/|z|^2
+    r = x * x
+    r += y * y
+    np.divide(p.h / np.pi, r, out=r)
+    w.real += y * r
+    w.imag += x * r
+    return w
 
 
-def _corrections(z, p: EvalParams, z2, tag: BranchTag):
-    """Residue correction 2 e^{-z^2}/(1 +- e^{-2 i pi z / h}) of an MM or MT point.
+def _corrections(x, p: EvalParams, y, a, b, tag: BranchTag):
+    """Residue correction 2 e^{-z^2}/(1 +- e^{-2 i pi z / h}) of MM or MT points
+    z = x + iy, z^2 = a + ib.
 
     It is evaluated through q = e^{2 i pi z / h}, which has modulus <= 1
     for Im(z) >= 0, so the exponential never overflows:
     the MM correction is 2 e^{-z^2} q/(1+q), the MT one 2 e^{-z^2} q/(q-1).
     """
+    two_pi_over_h = 2.0 * np.pi / p.h
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        ez2 = np.negative(z2)
+        ez2 = np.empty(x.shape, dtype=np.complex128)
+        np.negative(a, out=ez2.real)
+        np.negative(b, out=ez2.imag)
         np.exp(ez2, out=ez2)
-        q = 2j * np.pi * z
-        q /= p.h
+        q = np.empty_like(ez2)
+        np.multiply(y, -two_pi_over_h, out=q.real)
+        np.multiply(x, two_pi_over_h, out=q.imag)
         np.exp(q, out=q)
         # a complex multiply gets a fresh output: with the output aliasing an
         # input, numpy takes another inner loop for length-1 arrays, and the
@@ -135,28 +179,31 @@ def _corrections(z, p: EvalParams, z2, tag: BranchTag):
 _LIVE_EXPONENT = -750.0
 
 
-def _add_correction(w, z, p: EvalParams, tag: BranchTag, correction):
-    """The sum w of the formula ``tag`` on points z plus its residue correction,
-    where ``correction(i)`` computes the correction of the points z[i].
+def _add_correction(w, a, y, p: EvalParams, tag: BranchTag, correction):
+    """The sum w of the formula ``tag`` on points z = x + iy plus its residue
+    correction, where ``a`` is Re z^2 = x^2 - y^2 as the rule formed it and
+    ``correction(i)`` computes the correction of the points z[i].
 
     M points get none.  On MM and MT points the correction 2 e^{-z^2} q/(1 +- q)
-    is at most e^{y^2 - x^2 - 2 pi y/h} |2/(1 +- q)|.  Below the cut y < x (an
-    MM point with y >= x has y < pi/h, so its exponent is above
-    -2 pi (N+1) >= -164), and for y < x the dispatch puts 2 pi x/h within
-    pi/2 of a multiple of 2 pi on MM points and of an odd multiple of pi on
-    MT points.  So |1 +- q| >= 1, and the correction is below 2 e^-750, under
-    half the smallest subnormal: computed, it is exactly 0, so it is skipped
-    in either arithmetic.  That also keeps phases 2 pi x/h ~ 1e40, which no
-    binary64 reduction places, away from the double-double sine.
+    is at most e^{y^2 - x^2 - 2 pi y/h} |2/(1 +- q)|.  With that exponent
+    below _LIVE_EXPONENT, y < x (an MM point with y >= x has y < pi/h, so
+    its exponent is above -2 pi (N+1) >= -164), and for y < x the dispatch
+    puts 2 pi x/h within pi/2 of a multiple of 2 pi on MM points and of an
+    odd multiple of pi on MT points.  So |1 +- q| >= 1, and the correction
+    is below 2 e^-750, under half the smallest subnormal: computed, it is
+    exactly 0, so it is skipped in either arithmetic.  That also keeps
+    phases 2 pi x/h ~ 1e40, which no binary64 reduction places, away from
+    the double-double sine.
     """
     if tag is BranchTag.M:
         return w
-    x, y = z.real, z.imag
-    with np.errstate(over="ignore", invalid="ignore"):
-        live = y * y - x * x - (2.0 * np.pi / p.h) * y >= _LIVE_EXPONENT
+    # the exponent is -(a + 2 pi y/h)
+    live = np.multiply(y, 2.0 * np.pi / p.h)
+    live += a
     # boolean: a full group's index array would be alive at the correction's peak
+    live = live <= -_LIVE_EXPONENT
     count = np.count_nonzero(live)
-    if count == z.size:
+    if count == y.size:
         return w + correction(...)
     if count:
         live = np.flatnonzero(live)
@@ -164,18 +211,65 @@ def _add_correction(w, z, p: EvalParams, tag: BranchTag, correction):
     return w
 
 
-def _rule(z, p: EvalParams, tag: BranchTag):
-    """The quadrature formula ``tag`` on points z of the closed first quadrant."""
-    z2 = z * z
-    w = _trap_sum_raw(z, p, z2) if tag is BranchTag.MT else _mid_sum_raw(z, p, z2)
-    return _add_correction(w, z, p, tag, lambda i: _corrections(z[i], p, z2[i], tag))
+def _rule(x, y, p: EvalParams, tag: BranchTag):
+    """The quadrature formula ``tag`` on points x + iy of the closed first
+    quadrant below the far-field cut, given as float64 planes x and y."""
+    a = x * x
+    a -= y * y
+    b = x * y
+    b *= 2.0
+    raw = _trap_sum_raw if tag is BranchTag.MT else _mid_sum_raw
+    w = raw(x, p, y, a, b)
+    return _add_correction(
+        w, a, y, p, tag, lambda i: _corrections(x[i], p, y[i], a[i], b[i], tag)
+    )
+
+
+#: far-field cut on max(x, y) in the first quadrant.  At and above it every
+#: t_k^2 (at most 78.5 for N <= 25) is below 1e-38 |z^2|, under the rounding
+#: of z^2 - t_k^2 in binary64 and in double-double, so each rule is i c/z to
+#: working precision, with c = (2h/pi) sum_k e^{-t_k^2} (see _far), and its
+#: correction is exactly 0.  Below it |z^2 - t_k^2|^2 cannot overflow.
+_FAR = 1e20
+
+
+def _far_scale(x, y):
+    """Far-field points as (u, v, e) with x = u 2^e and y = v 2^e exactly and
+    max(u, v) in [1/2, 1): i c/z is then 2^-e i c/(u + iv), with no square
+    that can overflow.  An infinite x, where w is 0, gets u = 1 and an
+    exponent past the binary64 range, which scales any result to 0."""
+    _, e = np.frexp(np.maximum(x, y))
+    inf = np.isinf(x)
+    e[inf] = 1100
+    u = np.ldexp(x, -e)
+    u[inf] = 1.0
+    return u, np.ldexp(y, -e), e
+
+
+def _far(x, y, p: EvalParams):
+    """w_N at first-quadrant points at or above the far-field cut: i c/z.
+
+    Points there are M points (y >= x) or MM points: with y < x, x/h exceeds
+    2^53, so it is an integer and the trapezoidal window is never hit.
+    Both rules reduce to i c/z with c = (2h/pi) sum_{k=0}^N e^{-t_k^2}.
+    """
+    _, et, _, _ = _node_data(p.n)
+    u, v, e = _far_scale(x, y)
+    s = (2.0 * p.h / np.pi) * math.fsum(et.tolist()) / (u * u + v * v)
+    w = np.empty(x.shape, dtype=np.complex128)
+    w.real = np.ldexp(s * v, -e)
+    w.imag = np.ldexp(s * u, -e)
+    return w
 
 
 def _branch_masks(x, y, p: EvalParams):
     pi_over_h = np.pi / p.h
     m = y >= np.maximum(x, pi_over_h)
-    xh = x / p.h
-    phi = xh - np.floor(xh)
+    # an infinite x gives a NaN phase, so neither MT nor M: the far field
+    # takes it
+    with np.errstate(invalid="ignore"):
+        xh = x / p.h
+        phi = xh - np.floor(xh)
     # y < x already excludes m
     mt = (y < x) & (phi >= 0.25) & (phi <= 0.75)
     mm = ~(m | mt)
@@ -209,10 +303,12 @@ def _reflect(zl, wneg):
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         a = -(zl * zl)
         mag = np.exp(a.real)
-        sin = np.sin(a.imag)
-        re = 2.0 * mag * np.cos(a.imag) - wneg.real
+        # where the magnitude is 0 the phase 2xy may be infinite
+        phase = np.where(mag == 0.0, 0.0, a.imag)
+        sin = np.sin(phase)
+        re = 2.0 * mag * np.cos(phase) - wneg.real
         # sin(0) is exactly 0, also when mag has overflowed
-        im = np.where(a.imag == 0.0, sin, 2.0 * mag * sin) - wneg.imag
+        im = np.where(phase == 0.0, sin, 2.0 * mag * sin) - wneg.imag
     out = np.empty_like(wneg)
     # the signed zeros of the complex sum re + 1j*im, without its 0*inf NaN
     out.real = re + np.copysign(0.0, im)
@@ -227,33 +323,41 @@ def _negate_imag(w, where):
 class _Arithmetic(NamedTuple):
     """The arithmetic the dispatch and the fold run in.
 
-    ``empty(size)`` makes the flat output container, ``rule(z, p, tag)``
-    evaluates the formula ``tag`` on first-quadrant points,
+    ``empty(size)`` makes the flat output container, ``rule(x, y, p, tag)``
+    evaluates the formula ``tag`` on first-quadrant points x + iy below the
+    far-field cut, ``far(x, y, p)`` evaluates w_N on those at or above it,
     ``negate_imag(w, where)`` negates Im w in place where the mask holds, and
     ``reflect(zl, wneg)`` returns 2 e^{-z^2} - wneg for Im(z) < 0.
     """
 
     empty: Callable
     rule: Callable
+    far: Callable
     negate_imag: Callable
     reflect: Callable
 
 
 _BINARY64 = _Arithmetic(
-    functools.partial(np.empty, dtype=np.complex128), _rule, _negate_imag, _reflect
+    functools.partial(np.empty, dtype=np.complex128), _rule, _far, _negate_imag, _reflect
 )
 
 
-def _quadrant1_block(zq, p: EvalParams, out, arith: _Arithmetic):
-    """Write w_N(zq) into ``out`` for one block of first-quadrant points."""
-    masks = _branch_masks(zq.real, zq.imag, p)
+def _quadrant1_block(x, y, p: EvalParams, out, arith: _Arithmetic):
+    """Write w_N(x + iy) into ``out`` for one block of first-quadrant points,
+    given as contiguous float64 planes x and y."""
+    masks = _branch_masks(x, y, p)
+    near = np.maximum(x, y) < _FAR
+    if not near.all():
+        idx = np.flatnonzero(~near)
+        out[idx] = arith.far(x[idx], y[idx], p)
+        masks = [sel & near for sel in masks]
     for tag, sel in zip((BranchTag.M, BranchTag.MT, BranchTag.MM), masks):
         # index arrays gather and scatter several times faster than masks
         idx = np.flatnonzero(sel)
-        if idx.size == zq.size:
-            out[...] = arith.rule(zq, p, tag)
+        if idx.size == x.size:
+            out[...] = arith.rule(x, y, p, tag)
         elif idx.size:
-            out[idx] = arith.rule(zq[idx], p, tag)
+            out[idx] = arith.rule(x[idx], y[idx], p, tag)
 
 
 def _evaluate(z, p: EvalParams, arith: _Arithmetic = _BINARY64):
@@ -273,10 +377,7 @@ def _evaluate(z, p: EvalParams, arith: _Arithmetic = _BINARY64):
         if np.isinf(y).any():
             # the rules give NaNs there; refuse rather than return them
             raise DomainError("infinite imaginary part in complex argument")
-        zq = np.empty_like(zb)
-        np.abs(x, out=zq.real)
-        np.abs(y, out=zq.imag)
-        _quadrant1_block(zq, p, ob, arith)
+        _quadrant1_block(np.abs(x), np.abs(y), p, ob, arith)
         # w(-conj z) = conj w(z), through z itself above the real axis and
         # through -z below it
         lower = np.flatnonzero(y < 0)

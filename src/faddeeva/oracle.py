@@ -113,15 +113,28 @@ def _corrections_dd(x, y, sq, n, tag):
     return num / (q - 1.0) if tag is BranchTag.MT else num / (q + 1.0)
 
 
-def _w_q1_dd(zq, p: core.EvalParams, tag: BranchTag):
-    """The formula ``tag`` on first-quadrant points zq, double-double throughout."""
-    x, y = zq.real, zq.imag
+def _w_q1_dd(x, y, p: core.EvalParams, tag: BranchTag):
+    """The formula ``tag`` on first-quadrant points x + iy below the far-field
+    cut, double-double throughout."""
     sq = _z2_dd(x, y)
     w = _trap_sum_dd(x, y, sq, p.n) if tag is BranchTag.MT else _mid_sum_dd(x, y, sq, p.n)
     return core._add_correction(
-        w, zq, p, tag,
+        w, sq[0].re.hi, y, p, tag,
         lambda i: _corrections_dd(x[i], y[i], tuple(v[i] for v in sq), p.n, tag),
     )
+
+
+def _far_dd(x, y, p: core.EvalParams) -> DDComplex:
+    """i c/z at or above the far-field cut, as core._far, in double-double;
+    the squares of the scaled planes cannot overflow the Dekker split."""
+    two_h_over_pi, _, _, _, et, _, _ = _dd_params(p.n)
+    c = et[-1]
+    for ek in et[-2::-1]:
+        c = c + ek
+    c = c * two_h_over_pi
+    u, v, e = core._far_scale(x, y)
+    s = c / (DD(*_two_prod(u, u)) + DD(*_two_prod(v, v)))
+    return DDComplex(*(DD(np.ldexp(r.hi, -e), np.ldexp(r.lo, -e)) for r in (s * v, s * u)))
 
 
 def _negate_imag_dd(w: DDComplex, where):
@@ -145,7 +158,7 @@ def w_ref(z, n: int = ORACLE_N) -> DDComplex:
     # built per call: the benchmark's traced run (perfbench/tracing.py)
     # rebinds _w_q1_dd by module attribute, and a tuple made at import would
     # keep the unwrapped function
-    dd = core._Arithmetic(DDComplex.zeros, _w_q1_dd, _negate_imag_dd, _reflect_dd)
+    dd = core._Arithmetic(DDComplex.zeros, _w_q1_dd, _far_dd, _negate_imag_dd, _reflect_dd)
     out = core._evaluate(z, core.EvalParams(n), arith=dd)
     return out[0] if z.ndim == 0 else out
 

@@ -105,7 +105,7 @@ class TestErrorSweep:
 class TestMaxErrors:
     """The one reduction behind error_sweep and accuracy_table."""
 
-    Z = np.array([1 + 1j, 2 - 1j, np.inf + 0j, 0.5 + 3j])
+    Z = np.array([1 + 1j, 2 - 1j, 1 - 30j, 0.5 + 3j])
 
     @staticmethod
     def near_oracle(z):
@@ -118,7 +118,8 @@ class TestMaxErrors:
         # the lower half-plane point sets the absolute maximum only
         assert a == pytest.approx(1e-3) and ai == 2 - 1j
         assert r < 1e-16 and ri in (1 + 1j, 0.5 + 3j)
-        # the infinite point has no finite oracle: excluded and logged once
+        # w overflows at 1 - 30j, where the oracle has no finite value:
+        # excluded and logged once
         assert [m for m in caplog.messages if "excluded" in m] == [
             "excluded 1 grid points with non-finite oracle values"
         ]

@@ -6,6 +6,8 @@ integral for w(z) (and of the real integral for erfc) carried in
 double-double with panel doubling until convergence.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -137,8 +139,8 @@ class TestCorrectionSkip:
             for tag, sel in ((BranchTag.MT, mt), (BranchTag.MM, mm)):
                 idx = np.flatnonzero(sel)
                 assert idx.size > 1000
-                z = x[idx] + 1j * y[idx]
-                c = core._corrections(z, p, z * z, tag)
+                xi, yi = x[idx], y[idx]
+                c = core._corrections(xi, p, yi, xi * xi - yi * yi, 2.0 * xi * yi, tag)
                 assert not np.any(c.real) and not np.any(c.imag)
                 c = oracle._corrections_dd(x[idx], y[idx], tuple(v[idx] for v in sq), n, tag)
                 for part in (c.re.hi, c.re.lo, c.im.hi, c.im.lo):
@@ -164,9 +166,16 @@ class TestCorrectionSkip:
 
     def test_far_real_axis_finite(self):
         # the correction there used to run dd_sincos on 2 pi x/h ~ 1e40, and
-        # the reflection on 2xy ~ 4e78, past its reduction, and returned NaN
-        z = np.array([3e38 + 0j, 1e39 + 0j, 2e39 + 1e39j, 2e39 - 1e39j, -5e30 - 1e30j])
-        got = w_oracle(z).to_complex()
+        # the reflection on 2xy ~ 4e78, past its reduction, and returned NaN;
+        # from |z| ~ 1e76 the node sum's divisor |z^2 - t_k^2|^2 would
+        # overflow the double-double product: the far field takes those
+        z = np.array([
+            3e38 + 0j, 1e39 + 0j, 2e39 + 1e39j, 2e39 - 1e39j, -5e30 - 1e30j,
+            1e76 + 0j, 1e76 * (1 + 0.1j), 1e100 + 1e90j, 1e300 + 1e299j,
+        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = w_oracle(z).to_complex()
         want = faddeeva.w(z)
         assert np.all(np.isfinite(got))
         assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
