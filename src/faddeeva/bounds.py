@@ -13,6 +13,7 @@ import functools
 import math
 from dataclasses import dataclass
 
+from . import core
 from .errors import ParameterError, SingularBoundError
 
 __all__ = [
@@ -67,15 +68,13 @@ def constants() -> BoundConstants:
 
 def abs_bound(n: int) -> float:
     """Uniform absolute-error bound C1 * exp(-pi*n) for the order-n evaluator."""
-    if n < 0:
-        raise ParameterError("order must be >= 0")
+    core.step_size(n)  # the order check of w(z, n=...)
     return constants().big_c1 * math.exp(-math.pi * n)
 
 
 def rel_bound(n: int) -> float:
     """Upper-half-plane relative-error bound C2 * sqrt(n+1) * exp(-pi*n)."""
-    if n < 0:
-        raise ParameterError("order must be >= 0")
+    core.step_size(n)  # the order check of w(z, n=...)
     return constants().big_c2 * math.sqrt(n + 1.0) * math.exp(-math.pi * n)
 
 
@@ -86,10 +85,8 @@ def component_bounds(n: int) -> tuple[float, float]:
     factor exp(-(n+1)*pi); their sum (times e^pi) reassembles abs_bound(n)
     up to the inequalities used in the constants' definitions.
     """
-    if n < 0:
-        raise ParameterError("order must be >= 0")
     pi = math.pi
-    h = math.sqrt(pi / (n + 1.0))
+    h = core.step_size(n)
     tau = pi / h  # == sqrt((n+1)*pi), the first dropped node
     c = constants()
 
@@ -121,15 +118,12 @@ def hunter_regan_bound(z: complex, h: float) -> float:
             f"classical bound is singular at Re(z) = pi/h = {pole!r}"
         )
     q = math.exp(-math.pi**2 / h**2)
-    num = 2.0 * abs(z * _cexp_neg_z2(z)) * q
+    # |z e^{-z^2}| = |z| e^{y^2 - x^2}
+    try:
+        growth = math.exp(z.imag * z.imag - x * x)
+    except OverflowError:
+        growth = math.inf
+    num = 2.0 * abs(z) * growth * q
     den = math.sqrt(math.pi) * (1.0 - q * q) * abs(x * x - pole * pole)
     return num / den
 
-
-def _cexp_neg_z2(z: complex) -> complex:
-    # exp(-z^2) via real/imag split to avoid spurious overflow warnings
-    w = -(z * z)
-    try:
-        return complex(math.exp(w.real) * math.cos(w.imag), math.exp(w.real) * math.sin(w.imag))
-    except OverflowError:
-        return complex(math.inf, math.inf)

@@ -54,6 +54,8 @@ def cmd_eval(args) -> int:
     z = complex(args.re, args.im)
     n = args.n
     if args.method == "trap":
+        if n is None:
+            n = core.DEFAULT_N
         value = core.w_plane(z, n)
         if z.real >= 0 and z.imag >= 0:
             tag = core.select_branch(z, n).name
@@ -64,12 +66,9 @@ def cmd_eval(args) -> int:
         print(f"abs_bound = {bounds.abs_bound(n):.6g}")
         print(f"rel_bound = {bounds.rel_bound(n):.6g} (upper half-plane)")
     else:
-        default_arg = {"weideman": 40, "cf": 9}.get(args.method)
-        if args.method == "zaghloul":
-            spec = "zaghloul(0.5,38)"
-        else:
-            arg = default_arg if n == core.DEFAULT_N else n
-            spec = f"{args.method}({arg})"
+        if args.method == "zaghloul" and n is not None:
+            raise ParameterError("zaghloul takes no --n")
+        spec = args.method if n is None else f"{args.method}({n})"
         label, fn, mask = bench.parse_method(spec)
         if not mask(np.atleast_1d(np.complex128(z)))[0]:
             raise ParameterError(f"{label} is not rated at z = {z}")
@@ -161,7 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate w(z) at one point")
     p.add_argument("--re", type=float, required=True)
     p.add_argument("--im", type=float, required=True)
-    p.add_argument("--n", type=int, default=core.DEFAULT_N)
+    p.add_argument("--n", type=int, default=None,
+                   help="order; by default each method's own")
     p.add_argument("--method", choices=["trap", "weideman", "cf", "zaghloul"], default="trap")
     p.set_defaults(func=cmd_eval)
 
@@ -203,10 +203,7 @@ def main(argv=None) -> int:
     try:
         args = ap.parse_args(argv)
         return args.func(args)
-    except (ParameterError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FaddeevaError as exc:
+    except (FaddeevaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -174,9 +174,30 @@ def _corrections(x, p: EvalParams, y, a, b, tag: BranchTag):
     return num
 
 
-#: the residue correction is computed where the binary64 estimate of its
-#: exponent, y^2 - x^2 - 2 pi y/h, is at least this (see _add_correction)
+#: the residue correction and the reflection's 2 e^{-z^2} are skipped where
+#: the binary64 estimate of their exponent is below this (see _add_live)
 _LIVE_EXPONENT = -750.0
+
+
+def _add_live(w, decay, term):
+    """w plus ``term(i)``, the term of the points i, except where that is
+    exactly 0.
+
+    ``decay`` is a binary64 estimate of D for a term of modulus at most
+    2 e^{-D}.  Where it exceeds -_LIVE_EXPONENT the term is below 2 e^-750,
+    under half the smallest subnormal: computed, it would be exactly 0 in
+    either arithmetic, so those points keep w as it is.  Every other point
+    gets the term, also one whose estimate is NaN.
+    """
+    # boolean: a full group's index array would be alive at the term's peak
+    dead = decay > -_LIVE_EXPONENT
+    count = np.count_nonzero(dead)
+    if not count:
+        return w + term(...)
+    if count < dead.size:
+        live = np.flatnonzero(~dead)
+        w[live] = w[live] + term(live)
+    return w
 
 
 def _add_correction(w, a, y, p: EvalParams, tag: BranchTag, correction):
@@ -189,26 +210,16 @@ def _add_correction(w, a, y, p: EvalParams, tag: BranchTag, correction):
     below _LIVE_EXPONENT, y < x (an MM point with y >= x has y < pi/h, so
     its exponent is above -2 pi (N+1) >= -164), and for y < x the dispatch
     puts 2 pi x/h within pi/2 of a multiple of 2 pi on MM points and of an
-    odd multiple of pi on MT points.  So |1 +- q| >= 1, and the correction
-    is below 2 e^-750, under half the smallest subnormal: computed, it is
-    exactly 0, so it is skipped in either arithmetic.  That also keeps
-    phases 2 pi x/h ~ 1e40, which no binary64 reduction places, away from
-    the double-double sine.
+    odd multiple of pi on MT points.  So |1 +- q| >= 1, and _add_live skips
+    the correction there.  That also keeps phases 2 pi x/h ~ 1e40, which no
+    binary64 reduction places, away from the double-double sine.
     """
     if tag is BranchTag.M:
         return w
     # the exponent is -(a + 2 pi y/h)
-    live = np.multiply(y, 2.0 * np.pi / p.h)
-    live += a
-    # boolean: a full group's index array would be alive at the correction's peak
-    live = live <= -_LIVE_EXPONENT
-    count = np.count_nonzero(live)
-    if count == y.size:
-        return w + correction(...)
-    if count:
-        live = np.flatnonzero(live)
-        w[live] = w[live] + correction(live)
-    return w
+    decay = np.multiply(y, 2.0 * np.pi / p.h)
+    decay += a
+    return _add_live(w, decay, correction)
 
 
 def _rule(x, y, p: EvalParams, tag: BranchTag):
@@ -293,27 +304,10 @@ def select_branch(z, n: int = DEFAULT_N) -> BranchTag:
     return BranchTag.MM
 
 
-def _reflect(zl, wneg):
-    """w(z) = 2 e^{-z^2} - w(-z) for Im(z) < 0, given wneg = w(-z).
-
-    The true function grows like exp(y^2 - x^2) there, so e^{-z^2} is
-    assembled componentwise: an overflowing magnitude then yields signed
-    infinities, where a complex product would give 0*inf NaNs.
-    """
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        a = -(zl * zl)
-        mag = np.exp(a.real)
-        # where the magnitude is 0 the phase 2xy may be infinite
-        phase = np.where(mag == 0.0, 0.0, a.imag)
-        sin = np.sin(phase)
-        re = 2.0 * mag * np.cos(phase) - wneg.real
-        # sin(0) is exactly 0, also when mag has overflowed
-        im = np.where(phase == 0.0, sin, 2.0 * mag * sin) - wneg.imag
-    out = np.empty_like(wneg)
-    # the signed zeros of the complex sum re + 1j*im, without its 0*inf NaN
-    out.real = re + np.copysign(0.0, im)
-    out.imag = im + 0.0
-    return out
+def _exp_neg_z2(z):
+    """e^{-z^2} as one complex exp, which gives signed infinities where it
+    overflows."""
+    return np.exp(-(z * z))
 
 
 def _negate_imag(w, where):
@@ -327,18 +321,19 @@ class _Arithmetic(NamedTuple):
     evaluates the formula ``tag`` on first-quadrant points x + iy below the
     far-field cut, ``far(x, y, p)`` evaluates w_N on those at or above it,
     ``negate_imag(w, where)`` negates Im w in place where the mask holds, and
-    ``reflect(zl, wneg)`` returns 2 e^{-z^2} - wneg for Im(z) < 0.
+    ``exp_neg_z2(z)`` returns e^{-z^2} for complex128 points z, for the
+    reflection of the lower half-plane.
     """
 
     empty: Callable
     rule: Callable
     far: Callable
     negate_imag: Callable
-    reflect: Callable
+    exp_neg_z2: Callable
 
 
 _BINARY64 = _Arithmetic(
-    functools.partial(np.empty, dtype=np.complex128), _rule, _far, _negate_imag, _reflect
+    functools.partial(np.empty, dtype=np.complex128), _rule, _far, _negate_imag, _exp_neg_z2
 )
 
 
@@ -377,7 +372,8 @@ def _evaluate(z, p: EvalParams, arith: _Arithmetic = _BINARY64):
         if np.isinf(y).any():
             # the rules give NaNs there; refuse rather than return them
             raise DomainError("infinite imaginary part in complex argument")
-        _quadrant1_block(np.abs(x), np.abs(y), p, ob, arith)
+        ax, ay = np.abs(x), np.abs(y)
+        _quadrant1_block(ax, ay, p, ob, arith)
         # w(-conj z) = conj w(z), through z itself above the real axis and
         # through -z below it
         lower = np.flatnonzero(y < 0)
@@ -386,7 +382,19 @@ def _evaluate(z, p: EvalParams, arith: _Arithmetic = _BINARY64):
         if conj.any():
             arith.negate_imag(ob, conj)
         if lower.size:
-            ob[lower] = arith.reflect(zb[lower], ob[lower])
+            zl = zb[lower]
+
+            def twice_exp(j):
+                e = arith.exp_neg_z2(zl[j])
+                # a sum, not 2.0 * e, whose 0 * inf is NaN where e overflows
+                return e + e
+
+            with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+                # |e^{-z^2}| = e^{-(x^2 - y^2)}, with x^2 - y^2 formed
+                # without a square that overflows
+                axl, ayl = ax[lower], ay[lower]
+                decay = (axl - ayl) * (axl + ayl)
+                ob[lower] = _add_live(-ob[lower], decay, twice_exp)
     return out
 
 
@@ -421,7 +429,7 @@ def erfc_c(z, n: int = DEFAULT_N):
     neg = z.real < 0
     zr = np.where(neg, -z, z)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        out = np.exp(-(zr * zr)) * w_plane(1j * zr, n)
+        out = _exp_neg_z2(zr) * w_plane(1j * zr, n)
         out = np.where(neg, 2.0 - out, out)
     return _scalar_out(out, scalar)
 

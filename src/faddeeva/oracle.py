@@ -3,7 +3,7 @@
 `w_oracle` is `w` itself with only the order and the arithmetic changed:
 it runs the binary64 evaluator's own dispatch, quadrant fold, conjugation
 and reflection code (`core._evaluate`), at order N=20 and with the three
-quadrature formulas and the reflection carried out in double-double. That
+quadrature formulas and the reflection's e^{-z^2} in double-double. That
 gives absolute errors below 3.5e-28 (relative below 9.4e-27 in the upper
 half-plane). An independent certification route integrates the defining
 Cauchy integral of w with composite Gauss-Legendre panels, also in
@@ -63,9 +63,7 @@ def _exp_neg_z2_dd(sq):
     """e^{-z^2} = e^{y^2 - x^2} (cos 2xy - i sin 2xy) from _z2_dd's squares."""
     z2, x2, y2 = sq
     mag = dd_exp(y2 - x2)
-    # where the magnitude is 0 the phase 2xy may be past dd_sincos's reach
-    dead = mag.hi == 0.0
-    s, c = dd_sincos(DD(np.where(dead, 0.0, z2.im.hi), np.where(dead, 0.0, z2.im.lo)))
+    s, c = dd_sincos(z2.im)
     return DDComplex(mag * c, -(mag * s))
 
 
@@ -142,12 +140,6 @@ def _negate_imag_dd(w: DDComplex, where):
     np.negative(w.im.lo, out=w.im.lo, where=where)
 
 
-def _reflect_dd(zl, wneg: DDComplex) -> DDComplex:
-    """w(z) = 2 e^{-z^2} - w(-z) for Im(z) < 0, given wneg = w(-z)."""
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        return _exp_neg_z2_dd(_z2_dd(zl.real, zl.imag)) * 2.0 - wneg
-
-
 def w_ref(z, n: int = ORACLE_N) -> DDComplex:
     """w_N(z) over the whole plane: core's dispatch and fold in double-double.
 
@@ -158,7 +150,10 @@ def w_ref(z, n: int = ORACLE_N) -> DDComplex:
     # built per call: the benchmark's traced run (perfbench/tracing.py)
     # rebinds _w_q1_dd by module attribute, and a tuple made at import would
     # keep the unwrapped function
-    dd = core._Arithmetic(DDComplex.zeros, _w_q1_dd, _far_dd, _negate_imag_dd, _reflect_dd)
+    dd = core._Arithmetic(
+        DDComplex.zeros, _w_q1_dd, _far_dd, _negate_imag_dd,
+        lambda zl: _exp_neg_z2_dd(_z2_dd(zl.real, zl.imag)),
+    )
     out = core._evaluate(z, core.EvalParams(n), arith=dd)
     return out[0] if z.ndim == 0 else out
 

@@ -24,6 +24,7 @@ from faddeeva.bench import (
 )
 from faddeeva.errors import ParameterError
 from faddeeva.oracle import w_oracle
+from faddeeva.reference import cf_convergent
 
 SMALL = GridSpec(p_min=-3.0, p_max=3.0, p_step=0.05, theta_count=41)
 
@@ -259,6 +260,15 @@ class TestCli:
             r = run_cli("eval", "--re", "1", "--im", "1", "--method", method)
             assert r.returncode == 0, r.stderr
             assert "0.304744205" in r.stdout
+
+    def test_eval_explicit_order(self):
+        # an explicit --n is used even where it equals w's default order
+        r = run_cli("eval", "--re", "10", "--im", "1", "--method", "cf", "--n", "11")
+        assert r.returncode == 0, r.stderr
+        want = complex(cf_convergent(np.array([10 + 1j]), 11)[0])
+        assert f"{want.real:.17g} {want.imag:+.17g}i  [cf(11)]" in r.stdout
+        r = run_cli("eval", "--re", "1", "--im", "1", "--method", "zaghloul", "--n", "11")
+        assert r.returncode == 2
 
     def test_eval_unrated(self):
         r = run_cli("eval", "--re", "1", "--im", "1", "--method", "cf")

@@ -44,8 +44,11 @@ class TestAbsBound:
             assert ratio == pytest.approx(math.exp(-math.pi), rel=1e-13)
 
     def test_negative_order(self):
-        with pytest.raises(ParameterError):
-            abs_bound(-1)
+        # the order check of w(z, n=...): an integer in [0, N_MAX], not a bool
+        for fn in (abs_bound, rel_bound, component_bounds):
+            for n in (-1, True, 2.5, 26):
+                with pytest.raises(ParameterError):
+                    fn(n)
 
 
 class TestRelBound:

@@ -168,10 +168,13 @@ class TestCorrectionSkip:
         # the correction there used to run dd_sincos on 2 pi x/h ~ 1e40, and
         # the reflection on 2xy ~ 4e78, past its reduction, and returned NaN;
         # from |z| ~ 1e76 the node sum's divisor |z^2 - t_k^2|^2 would
-        # overflow the double-double product: the far field takes those
+        # overflow the double-double product: the far field takes those.
+        # Below the real axis with x^2 - y^2 > 750 the reflection never
+        # squares x, which may be infinite or past 1.3e154
         z = np.array([
             3e38 + 0j, 1e39 + 0j, 2e39 + 1e39j, 2e39 - 1e39j, -5e30 - 1e30j,
             1e76 + 0j, 1e76 * (1 + 0.1j), 1e100 + 1e90j, 1e300 + 1e299j,
+            -np.inf - 1j, np.inf - 0.5j, 1e200 - 1e199j,
         ])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)

@@ -8,6 +8,11 @@ within the proven relative bound plus the 13 digits the Faddeeva Package
 (scipy.special.wofz) is written to deliver.  mpmath checks a smaller
 sample, with |z| up to 1e6, including subnormal points on the real axis,
 where Im w and dawson are compared part by part.
+
+Below the real axis w(z) = 2 e^{-z^2} - w(-z).  Where |y| <= |x|/2 the
+value is finite and away from the zeros of w, which lie near |y| = |x|, so
+it is checked in the same way; where x^2 - y^2 > 750 the term 2 e^{-z^2}
+is below half the smallest subnormal, and w(z) is exactly -w(-z).
 """
 
 import math
@@ -47,6 +52,18 @@ INFINITE_REAL = st.builds(complex, st.sampled_from([math.inf, -math.inf]), st.fl
 UPPER = polar(300.0) | CARTESIAN | INFINITE_REAL
 
 
+#: below the real axis with |y| <= |x|/2, and signed zeros on it
+LOWER = (
+    st.builds(
+        lambda u, theta, sign: complex(sign * 10.0**u * math.cos(theta), -(10.0**u) * math.sin(theta)),
+        st.floats(-300.0, 300.0),
+        st.floats(0.0, math.atan(0.5)),
+        st.sampled_from([1.0, -1.0]),
+    )
+    | st.builds(complex, st.floats(-1e300, 1e300), st.just(-0.0))
+)
+
+
 def w_quiet(z):
     """w(z), failing on any numpy RuntimeWarning."""
     with warnings.catch_warnings():
@@ -65,6 +82,23 @@ def test_w_finite_and_close_to_scipy(points):
     want = sp.wofz(z)
     bad = np.abs(got - want) > TOL * np.abs(want)
     assert not bad.any(), list(zip(z[bad], got[bad], want[bad]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(LOWER, min_size=1, max_size=16))
+@example([1e200 - 1e199j, -1e200 - 1e199j, 1e300 - 5e299j])
+@example([-30.0 - 1.0j, 1.5 - 0.7j, 1.0 - 5e-324j, complex(-0.0, -0.0)])
+def test_w_lower_half_plane(points):
+    z = np.array(points)
+    got = w_quiet(z)
+    assert not np.any(np.isnan(got.real) | np.isnan(got.imag))
+    want = sp.wofz(z)
+    bad = np.abs(got - want) > TOL * np.abs(want)
+    assert not bad.any(), list(zip(z[bad], got[bad], want[bad]))
+    x, y = np.abs(z.real), np.abs(z.imag)
+    with np.errstate(over="ignore"):
+        far = (z.imag < 0) & ((x - y) * (x + y) > 750.0)
+    assert np.array_equal(got[far], -w_quiet(-z[far]))
 
 
 def w_mpmath(z):
