@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -27,16 +26,9 @@ DEFAULT_N = 11
 _BLOCK = 16384
 
 
-def _is_order(n) -> bool:
-    """An integer in [0, N_MAX]; bool is an int subclass but not an order."""
-    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and 0 <= n <= N_MAX
-
-
 def step_size(n: int) -> float:
     """Quadrature step sqrt(pi/(N+1)) for order N."""
-    if not _is_order(n):
-        raise ParameterError(f"order must be an integer in [0, {N_MAX}], got {n!r}")
-    return math.sqrt(math.pi / (n + 1))
+    return _params(n).h
 
 
 class BranchTag(enum.Enum):
@@ -47,28 +39,42 @@ class BranchTag(enum.Enum):
     MT = "MT"  # trapezoidal sum plus residue correction
 
 
-@dataclass(frozen=True)
-class EvalParams:
-    """Quadrature order N and the derived step h = sqrt(pi/(N+1))."""
+class EvalParams(NamedTuple):
+    """The constants of the rules of order N, built once per order by _params.
+
+    ``mid`` and ``trap`` hold the pairs (node^2, (2h/pi) e^{-node^2}) of the
+    midpoint nodes t_k = (k+1/2)h, k = N..0, and the trapezoidal nodes
+    tau_k = kh, k = N..1, in the order the node sum takes them; ``c`` is the
+    far-field constant (2h/pi) sum_k e^{-t_k^2}.
+    """
 
     n: int
-
-    def __post_init__(self):
-        step_size(self.n)
-
-    @property
-    def h(self) -> float:
-        return step_size(self.n)
+    h: float
+    mid: tuple
+    trap: tuple
+    c: float
 
 
-@functools.lru_cache(maxsize=32)
-def _node_data(n: int):
-    """Midpoint nodes t_k = (k+1/2)h, k = 0..N, trapezoidal nodes tau_k = kh,
-    k = 1..N, and their weights exp(-node^2)."""
-    h = step_size(n)
+def _params(n) -> EvalParams:
+    """The constants of order n.  n is checked before the cache lookup, where
+    True would find a cached order 1."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 0 <= n <= N_MAX:
+        raise ParameterError(f"order must be an integer in [0, {N_MAX}], got {n!r}")
+    return _order_constants(int(n))
+
+
+@functools.lru_cache(maxsize=None)
+def _order_constants(n: int) -> EvalParams:
+    h = math.sqrt(math.pi / (n + 1))
+    scale = 2.0 * h / np.pi
+
+    def pairs(nodes):
+        weights = scale * np.exp(-nodes * nodes)
+        return tuple(zip((nodes * nodes).tolist()[::-1], weights.tolist()[::-1]))
+
     t = (np.arange(n + 1) + 0.5) * h
-    tau = np.arange(1, n + 1) * h
-    return t, np.exp(-t * t), tau, np.exp(-tau * tau)
+    c = scale * math.fsum(np.exp(-t * t).tolist())
+    return EvalParams(n, h, pairs(t), pairs(np.arange(1, n + 1) * h), c)
 
 
 def _as_xy(z):
@@ -82,10 +88,10 @@ def _scalar_out(res, scalar):
     return complex(res) if scalar else res
 
 
-def _pole_sum(a, b, nodes, weights):
-    """Real sums S0 = sum_k weights_k/|d_k|^2 and S1 = sum_k weights_k a_k/|d_k|^2
-    over d_k = z^2 - nodes_k^2 = a_k + iB, a_k = A - nodes_k^2, accumulated
-    from the last node; sum_k weights_k/d_k is then S1 - iB S0.
+def _pole_sum(a, b, pairs):
+    """Real sums S0 = sum_k e_k/|d_k|^2 and S1 = sum_k e_k a_k/|d_k|^2 over
+    the pairs (node_k^2, e_k) in their order, with d_k = z^2 - node_k^2 =
+    a_k + iB, a_k = A - node_k^2; sum_k e_k/d_k is then S1 - iB S0.
 
     Seven float64 passes per node.  Below the far-field cut |d_k|^2 stays
     under about 1e81, and the dispatch keeps z at least h/4 from the
@@ -96,8 +102,8 @@ def _pole_sum(a, b, nodes, weights):
     s1 = np.zeros_like(a)
     d = np.empty_like(a)
     s = np.empty_like(a)
-    for t, e in zip(nodes[::-1].tolist(), weights[::-1].tolist()):
-        np.subtract(a, t * t, out=d)
+    for t2, e in pairs:
+        np.subtract(a, t2, out=d)
         np.multiply(d, d, out=s)
         s += b2
         np.divide(e, s, out=s)
@@ -127,14 +133,12 @@ def _times_iz(x, y, b, s0, s1):
 def _mid_sum_raw(x, p: EvalParams, y, a, b):
     """(2ihz/pi) * sum_k exp(-t_k^2)/(z^2 - t_k^2), accumulated k = N..0, on
     the planes z = x + iy and z^2 = a + ib."""
-    t, et, _, _ = _node_data(p.n)
-    return _times_iz(x, y, b, *_pole_sum(a, b, t, (2.0 * p.h / np.pi) * et))
+    return _times_iz(x, y, b, *_pole_sum(a, b, p.mid))
 
 
 def _trap_sum_raw(x, p: EvalParams, y, a, b):
     """ih/(pi z) + (2ihz/pi) * sum_{k=1}^N exp(-tau_k^2)/(z^2 - tau_k^2)."""
-    _, _, tau, etau = _node_data(p.n)
-    w = _times_iz(x, y, b, *_pole_sum(a, b, tau, (2.0 * p.h / np.pi) * etau))
+    w = _times_iz(x, y, b, *_pole_sum(a, b, p.trap))
     # ih/(pi z) = (h/pi)(y + ix)/|z|^2
     r = x * x
     r += y * y
@@ -247,14 +251,11 @@ _FAR = 1e20
 def _far_scale(x, y):
     """Far-field points as (u, v, e) with x = u 2^e and y = v 2^e exactly and
     max(u, v) in [1/2, 1): i c/z is then 2^-e i c/(u + iv), with no square
-    that can overflow.  An infinite x, where w is 0, gets u = 1 and an
+    that can overflow.  An infinite part, where w is 0, becomes 1 under an
     exponent past the binary64 range, which scales any result to 0."""
     _, e = np.frexp(np.maximum(x, y))
-    inf = np.isinf(x)
-    e[inf] = 1100
-    u = np.ldexp(x, -e)
-    u[inf] = 1.0
-    return u, np.ldexp(y, -e), e
+    e[np.isinf(x) | np.isinf(y)] = 1100
+    return np.minimum(np.ldexp(x, -e), 1.0), np.minimum(np.ldexp(y, -e), 1.0), e
 
 
 def _far(x, y, p: EvalParams):
@@ -264,9 +265,8 @@ def _far(x, y, p: EvalParams):
     2^53, so it is an integer and the trapezoidal window is never hit.
     Both rules reduce to i c/z with c = (2h/pi) sum_{k=0}^N e^{-t_k^2}.
     """
-    _, et, _, _ = _node_data(p.n)
     u, v, e = _far_scale(x, y)
-    s = (2.0 * p.h / np.pi) * math.fsum(et.tolist()) / (u * u + v * v)
+    s = p.c / (u * u + v * v)
     w = np.empty(x.shape, dtype=np.complex128)
     w.real = np.ldexp(s * v, -e)
     w.imag = np.ldexp(s * u, -e)
@@ -277,8 +277,8 @@ def _branch_masks(x, y, p: EvalParams):
     pi_over_h = np.pi / p.h
     m = y >= np.maximum(x, pi_over_h)
     # an infinite x gives a NaN phase, so neither MT nor M: the far field
-    # takes it
-    with np.errstate(invalid="ignore"):
+    # takes it, as it takes an x whose x/h overflows
+    with np.errstate(invalid="ignore", over="ignore"):
         xh = x / p.h
         phi = xh - np.floor(xh)
     # y < x already excludes m
@@ -289,7 +289,7 @@ def _branch_masks(x, y, p: EvalParams):
 
 def select_branch(z, n: int = DEFAULT_N) -> BranchTag:
     """Dispatch rule of order n on the closed first quadrant (scalar arguments)."""
-    p = EvalParams(n)
+    p = _params(n)
     z = _as_xy(z)
     if z.ndim != 0:
         raise ParameterError("select_branch takes a scalar argument")
@@ -369,9 +369,9 @@ def _evaluate(z, p: EvalParams, arith: _Arithmetic = _BINARY64):
         zb = zf[i:i + _BLOCK]
         ob = out[i:i + _BLOCK]
         x, y = zb.real, zb.imag
-        if np.isinf(y).any():
-            # the rules give NaNs there; refuse rather than return them
-            raise DomainError("infinite imaginary part in complex argument")
+        if (y == -np.inf).any():
+            # e^{-z^2} there has an infinite modulus and no phase
+            raise DomainError("imaginary part -inf in complex argument")
         ax, ay = np.abs(x), np.abs(y)
         _quadrant1_block(ax, ay, p, ob, arith)
         # w(-conj z) = conj w(z), through z itself above the real axis and
@@ -400,7 +400,7 @@ def _evaluate(z, p: EvalParams, arith: _Arithmetic = _BINARY64):
 
 def w_quadrant1(z, n: int = DEFAULT_N):
     """w_N(z) of order n on the closed first quadrant via the three-formula dispatch."""
-    p = EvalParams(n)
+    p = _params(n)
     z = _as_xy(z)
     if np.any(z.real < 0) or np.any(z.imag < 0):
         raise DomainError("w_quadrant1 requires the closed first quadrant")
@@ -413,9 +413,16 @@ def w_plane(z, n: int = DEFAULT_N):
     For Im(z) < 0 the true function grows like exp(y^2 - x^2) and the
     result overflows to a signed infinity once that exceeds binary64 range.
     """
-    p = EvalParams(n)
+    p = _params(n)
     z = _as_xy(z)
     return _scalar_out(_evaluate(z, p).reshape(z.shape), z.ndim == 0)
+
+
+def _times_i(z):
+    """iz formed by parts: 1j * z makes a NaN of 0 * inf at an infinite part."""
+    iz = np.array(-z.imag, dtype=np.complex128)
+    iz.imag = z.real
+    return iz
 
 
 def erfc_c(z, n: int = DEFAULT_N):
@@ -429,7 +436,7 @@ def erfc_c(z, n: int = DEFAULT_N):
     neg = z.real < 0
     zr = np.where(neg, -z, z)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        out = _exp_neg_z2(zr) * w_plane(1j * zr, n)
+        out = _exp_neg_z2(zr) * w_plane(_times_i(zr), n)
         out = np.where(neg, 2.0 - out, out)
     return _scalar_out(out, scalar)
 
@@ -442,7 +449,7 @@ def erf_c(z, n: int = DEFAULT_N):
 
 def erfcx_c(z, n: int = DEFAULT_N):
     """Scaled complementary error function e^{z^2} erfc(z) = w(iz)."""
-    return w_plane(1j * _as_xy(z), n)
+    return w_plane(_times_i(_as_xy(z)), n)
 
 
 def dawson_real(x, n: int = DEFAULT_N):

@@ -36,19 +36,17 @@ ORACLE_N = 20
 
 @functools.lru_cache(maxsize=8)
 def _dd_params(n: int):
-    """2h/pi, h/pi, pi/h and the squared nodes t_k^2, tau_k^2 with their
-    weights exp(-node^2), all in DD."""
+    """2h/pi, h/pi, pi/h, the pairs (node^2, e^{-node^2}) of the midpoint and
+    the trapezoidal nodes, last node first as the node sum takes them, and
+    the far-field constant c = (2h/pi) sum_k e^{-t_k^2} summed in that
+    order, all in DD."""
     h = dd_sqrt(DD.from_pair(PI) / float(n + 1))
     pi_over_h = dd_sqrt(DD.from_pair(PI) * float(n + 1))
-    t = [(h * (k + 0.5)) for k in range(n + 1)]
-    tau = [(h * float(k)) for k in range(1, n + 1)]
-    et = [dd_exp(-(tk * tk)) for tk in t]
-    etau = [dd_exp(-(tk * tk)) for tk in tau]
-    t2 = [tk * tk for tk in t]
-    tau2 = [tk * tk for tk in tau]
+    mid = [(tk * tk, dd_exp(-(tk * tk))) for tk in (h * (k + 0.5) for k in range(n, -1, -1))]
+    trap = [(tk * tk, dd_exp(-(tk * tk))) for tk in (h * float(k) for k in range(n, 0, -1))]
     two_h_over_pi = (h * 2.0) / DD.from_pair(PI)
-    h_over_pi = h / DD.from_pair(PI)
-    return two_h_over_pi, h_over_pi, pi_over_h, t2, et, tau2, etau
+    c = sum((e for _, e in mid[1:]), mid[0][1]) * two_h_over_pi
+    return two_h_over_pi, h / DD.from_pair(PI), pi_over_h, mid, trap, c
 
 
 def _z2_dd(x, y):
@@ -67,20 +65,21 @@ def _exp_neg_z2_dd(sq):
     return DDComplex(mag * c, -(mag * s))
 
 
-def _pole_sum_dd(x, y, sq, nodes2, weights, two_h_over_pi):
-    """(2ihz/pi) sum_k weights_k/(z^2 - nodes2_k), accumulated from the last node.
+def _pole_sum_dd(x, y, sq, pairs, two_h_over_pi):
+    """(2ihz/pi) sum_k e_k/(z^2 - node_k^2) over the pairs (node_k^2, e_k), in
+    their order.
 
-    With z^2 = A + iB and a_k = A - nodes2_k, each term is
-    weights_k (a_k - iB)/(a_k^2 + B^2), so the sum is S1 - iB S0 for the
-    real sums S0 = sum weights_k/|d_k|^2 and S1 = sum weights_k a_k/|d_k|^2.
+    With z^2 = A + iB and a_k = A - node_k^2, each term is
+    e_k (a_k - iB)/(a_k^2 + B^2), so the sum is S1 - iB S0 for the
+    real sums S0 = sum e_k/|d_k|^2 and S1 = sum e_k a_k/|d_k|^2.
     """
     z2 = sq[0]
     b2 = z2.im * z2.im
     s0 = DD(np.zeros(x.shape))
     s1 = DD(np.zeros(x.shape))
-    for k in range(len(nodes2) - 1, -1, -1):
-        a = z2.re - nodes2[k]
-        s = weights[k] / (a * a + b2)
+    for t2, e in pairs:
+        a = z2.re - t2
+        s = e / (a * a + b2)
         s0 = s0 + s
         s1 = s1 + s * a
     # prefactor (2ih/pi) z = (2h/pi)(-y + ix)
@@ -88,22 +87,22 @@ def _pole_sum_dd(x, y, sq, nodes2, weights, two_h_over_pi):
 
 
 def _mid_sum_dd(x, y, sq, n):
-    c, _, _, t2, et, _, _ = _dd_params(n)
-    return _pole_sum_dd(x, y, sq, t2, et, c)
+    c, _, _, mid, _, _ = _dd_params(n)
+    return _pole_sum_dd(x, y, sq, mid, c)
 
 
 def _trap_sum_dd(x, y, sq, n):
-    c, c2, _, _, _, tau2, etau = _dd_params(n)
+    c, c2, _, _, trap, _ = _dd_params(n)
     _, x2, y2 = sq
     # ih/(pi z) = (h/pi) (y + ix)/|z|^2
     r2 = x2 + y2
     extra = DDComplex((c2 * y) / r2, (c2 * x) / r2)
-    return _pole_sum_dd(x, y, sq, tau2, etau, c) + extra
+    return _pole_sum_dd(x, y, sq, trap, c) + extra
 
 
 def _corrections_dd(x, y, sq, n, tag):
     """Residue correction (MM or MT) via q = exp(2 i pi z / h), |q| <= 1."""
-    _, _, poh, _, _, _, _ = _dd_params(n)
+    poh = _dd_params(n)[2]
     mag = dd_exp(poh * (-2.0) * y)
     s, c = dd_sincos(poh * 2.0 * x)
     q = DDComplex(mag * c, mag * s)
@@ -125,11 +124,7 @@ def _w_q1_dd(x, y, p: core.EvalParams, tag: BranchTag):
 def _far_dd(x, y, p: core.EvalParams) -> DDComplex:
     """i c/z at or above the far-field cut, as core._far, in double-double;
     the squares of the scaled planes cannot overflow the Dekker split."""
-    two_h_over_pi, _, _, _, et, _, _ = _dd_params(p.n)
-    c = et[-1]
-    for ek in et[-2::-1]:
-        c = c + ek
-    c = c * two_h_over_pi
+    c = _dd_params(p.n)[5]
     u, v, e = core._far_scale(x, y)
     s = c / (DD(*_two_prod(u, u)) + DD(*_two_prod(v, v)))
     return DDComplex(*(DD(np.ldexp(r.hi, -e), np.ldexp(r.lo, -e)) for r in (s * v, s * u)))
@@ -154,7 +149,7 @@ def w_ref(z, n: int = ORACLE_N) -> DDComplex:
         DDComplex.zeros, _w_q1_dd, _far_dd, _negate_imag_dd,
         lambda zl: _exp_neg_z2_dd(_z2_dd(zl.real, zl.imag)),
     )
-    out = core._evaluate(z, core.EvalParams(n), arith=dd)
+    out = core._evaluate(z, core._params(n), arith=dd)
     return out[0] if z.ndim == 0 else out
 
 
@@ -206,22 +201,12 @@ def _panel_nodes(panels: int, order: int, lo: float, hi: float):
     xg, wg = _gl_rule_dd(order)
     width = (hi - lo) / panels
     centers = lo + width * (np.arange(panels) + 0.5)
-    # t = center + (width/2) x, elementwise over the (panels*order) grid
-    t_hi = np.empty(panels * order)
-    t_lo = np.empty(panels * order)
-    w_hi = np.empty(panels * order)
-    w_lo = np.empty(panels * order)
     half = width / 2.0
-    for i, c in enumerate(centers):
-        t = xg * half + c
-        ww = wg * half
-        sl = slice(i * order, (i + 1) * order)
-        t_hi[sl], t_lo[sl] = t.hi, t.lo
-        w_hi[sl], w_lo[sl] = ww.hi, ww.lo
-    t = DD(t_hi, t_lo)
-    wts = DD(w_hi, w_lo)
-    gauss = dd_exp(-(t * t))
-    return t, wts * gauss
+    # t = center + (width/2) x over the (panels, order) grid, flattened
+    # panel by panel
+    t = xg * half + centers[:, None]
+    wts = (wg * half) * dd_exp(-(t * t))
+    return tuple(DD(v.hi.ravel(), v.lo.ravel()) for v in (t, wts))
 
 
 def _cauchy_integral(z: complex, panels: int, order: int) -> DDComplex:
@@ -237,7 +222,11 @@ def _cauchy_integral(z: complex, panels: int, order: int) -> DDComplex:
     return DDComplex(-(total.im * ip), total.re * ip)
 
 
-def w_quadrature(z, rel_tol: float = 1e-28):
+#: relative change between panel doublings at which w_quadrature stops
+_REL_TOL = 1e-28
+
+
+def w_quadrature(z):
     """Certification value of w(z), Im(z) > 0, by panel-doubling quadrature."""
     x, y = float(np.real(z)), float(np.imag(z))
     if not (y > 0):
@@ -250,7 +239,7 @@ def w_quadrature(z, rel_tol: float = 1e-28):
         cur = _cauchy_integral(z, panels, order)
         diff = (cur - prev).abs().to_float()
         scale = cur.abs().to_float()
-        if diff <= rel_tol * scale:
+        if diff <= _REL_TOL * scale:
             return cur
         prev = cur
     raise ArithmeticError(f"quadrature did not converge at z={z!r}")

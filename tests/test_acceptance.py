@@ -196,7 +196,7 @@ class TestCriterion5AccuracyTable:
 
 class TestCriterion6Identities:
     def test_identity_suite(self, polar_grid):
-        p11 = core.EvalParams(11)
+        p11 = core._params(11)
         M, MM, MT = core.BranchTag.M, core.BranchTag.MM, core.BranchTag.MT
         c1 = abs_bound(11)
         msgs = []

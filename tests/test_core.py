@@ -13,7 +13,7 @@ from faddeeva.bounds import abs_bound
 from faddeeva.errors import DomainError, ParameterError
 from faddeeva.oracle import erfc_oracle, w_oracle
 
-P11 = core.EvalParams(11)
+P11 = core._params(11)
 
 
 def oracle_c(z):
@@ -43,17 +43,32 @@ class TestStepSize:
 
 class TestEvalParams:
     def test_nodes(self):
-        h = core.EvalParams(3).h
-        t, et, tau, etau = core._node_data(3)
-        np.testing.assert_allclose(t, (np.arange(4) + 0.5) * h)
-        np.testing.assert_allclose(tau, np.arange(1, 4) * h)
-        np.testing.assert_allclose(et, np.exp(-t * t))
-        np.testing.assert_allclose(etau, np.exp(-tau * tau))
+        # the pairs (node^2, (2h/pi) e^{-node^2}), last node first
+        p = core._params(3)
+        h = p.h
+        assert (p.n, h) == (3, core.step_size(3))
+        t = [(k + 0.5) * h for k in (3, 2, 1, 0)]
+        tau = [k * h for k in (3, 2, 1)]
+        for pairs, nodes in ((p.mid, t), (p.trap, tau)):
+            t2, e = np.array(pairs).T
+            np.testing.assert_allclose(t2, np.square(nodes), rtol=1e-15)
+            np.testing.assert_allclose(e, 2 * h / math.pi * np.exp(-np.square(nodes)), rtol=1e-15)
+        assert p.c == 2 * h / np.pi * math.fsum(np.exp(-np.square(t)).tolist())
+
+    def test_cached(self):
+        assert core._params(7) is core._params(7) is core._params(np.int64(7))
 
     @pytest.mark.parametrize("n", [True, False])
     def test_bool_rejected(self, n):
         with pytest.raises(ParameterError):
-            core.EvalParams(n=n)
+            core._params(n)
+
+    def test_bool_rejected_after_equal_order(self):
+        # True == np.int64(1) and both hash alike, so a cache keyed on the
+        # order alone would take True for the order 1
+        faddeeva.w(1 + 1j, n=np.int64(1))
+        with pytest.raises(ParameterError):
+            faddeeva.w(1 + 1j, n=True)
 
 
 class TestOrderArgument:
@@ -79,7 +94,7 @@ class TestOrderArgument:
         assert faddeeva.w(1 + 1j, n=15) == faddeeva.w(1 + 1j, 15)
 
     @pytest.mark.parametrize("name", sorted(CALLS))
-    @pytest.mark.parametrize("n", [core.EvalParams(11), True, -1, 26, 11.0])
+    @pytest.mark.parametrize("n", [core._params(11), True, -1, 26, 11.0])
     def test_non_order_rejected(self, name, n):
         with pytest.raises(ParameterError):
             self.CALLS[name](n=n)
@@ -172,10 +187,10 @@ class TestQuadrant1:
         with pytest.raises(DomainError):
             core.w_quadrant1(z, 11)
 
-    def test_infinite_imag_rejected(self):
-        # as w_plane does; the rules would give NaN there
-        with pytest.raises(DomainError):
-            core.w_quadrant1(complex(1.0, np.inf), 11)
+    def test_infinite_imag_is_zero(self):
+        # the far field scales an infinite part to 0, as w_plane does
+        assert core.w_quadrant1(complex(1.0, np.inf), 11) == 0j
+        assert core.w_quadrant1(complex(np.inf, np.inf), 11) == 0j
 
     def test_node_distance_guarantee(self):
         # each point is at least h/4 from the poles of its dispatched rule:
@@ -183,7 +198,8 @@ class TestQuadrant1:
         rng = np.random.default_rng(0)
         z = rng.uniform(0, 10, 2000) + 1j * rng.uniform(0, 10, 2000)
         _, mt, _ = core._branch_masks(z.real, z.imag, P11)
-        t, _, tau, _ = core._node_data(P11.n)
+        t = (np.arange(P11.n + 1) + 0.5) * P11.h
+        tau = np.arange(1, P11.n + 1) * P11.h
         d_mid = np.min(np.abs(z[:, None] - np.concatenate((t, -t))), axis=1)
         d_trap = np.min(np.abs(z[:, None] - np.concatenate(([0.0], tau, -tau))), axis=1)
         assert np.all(np.where(mt, d_trap, d_mid) >= P11.h / 4 - 1e-12 * P11.h)
@@ -324,6 +340,16 @@ class TestDerived:
         assert core.erf_c(0j, 11) == 0j
         assert core.erf_c(-0.3j, 11) == -core.erf_c(0.3j, 11)
         assert abs(core.erf_c(1 + 0j, 11) - 0.84270079294971487) < 3e-16
+
+    def test_infinite_arguments(self):
+        # iz is formed by parts: 1j * z would make 0 * inf, a NaN
+        assert core.erfc_c(np.inf, 11) == 0j
+        assert core.erfc_c(-np.inf, 11) == 2.0
+        assert core.erf_c(np.inf, 11) == 1.0 and core.erf_c(-np.inf, 11) == -1.0
+        assert core.erfcx_c(np.inf, 11) == 0j
+        # w(-i inf): e^{-z^2} has an infinite modulus and no phase
+        with pytest.raises(DomainError):
+            core.erfcx_c(-np.inf, 11)
 
     def test_erfcx_examples(self):
         assert core.erfcx_c(0j, 11) == 1.0 + 0j

@@ -132,7 +132,7 @@ class TestCorrectionSkip:
     def test_skipped_corrections_are_zero(self):
         # computed anyway, the correction is exactly 0 in both arithmetics
         for n in (core.DEFAULT_N, ORACLE_N):
-            p = core.EvalParams(n)
+            p = core._params(n)
             x, y = self.below_cut(p)
             _, mt, mm = core._branch_masks(x, y, p)
             sq = oracle._z2_dd(x, y)
@@ -148,7 +148,7 @@ class TestCorrectionSkip:
 
     def test_w_skips_corrections_below_cut(self, monkeypatch):
         # w computes the correction only on the corrected points above the cut
-        p = core.EvalParams(core.DEFAULT_N)
+        p = core._params(core.DEFAULT_N)
         x, y = self.below_cut(p)
         live = np.array([1.0 + 1.0j, 3.2 + 0.1j])
         reached = []
@@ -170,11 +170,13 @@ class TestCorrectionSkip:
         # from |z| ~ 1e76 the node sum's divisor |z^2 - t_k^2|^2 would
         # overflow the double-double product: the far field takes those.
         # Below the real axis with x^2 - y^2 > 750 the reflection never
-        # squares x, which may be infinite or past 1.3e154
+        # squares x, which may be infinite or past 1.3e154.  At an infinite
+        # imaginary part both are 0
         z = np.array([
             3e38 + 0j, 1e39 + 0j, 2e39 + 1e39j, 2e39 - 1e39j, -5e30 - 1e30j,
             1e76 + 0j, 1e76 * (1 + 0.1j), 1e100 + 1e90j, 1e300 + 1e299j,
             -np.inf - 1j, np.inf - 0.5j, 1e200 - 1e199j,
+            complex(1.0, np.inf), complex(-np.inf, np.inf),
         ])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -182,6 +184,13 @@ class TestCorrectionSkip:
         want = faddeeva.w(z)
         assert np.all(np.isfinite(got))
         assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+
+def test_far_constant_rounds_to_binary64():
+    # the DD c = (2h/pi) sum_k e^{-t_k^2} and the binary64 one agree to 1 ulp
+    for n in range(core.N_MAX + 1):
+        c = core._params(n).c
+        assert abs(oracle._dd_params(n)[5].to_float() - c) <= np.spacing(c)
 
 
 @pytest.mark.parametrize("x", [0.25, 1.0, 2.0, 4.0])

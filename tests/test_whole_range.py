@@ -2,8 +2,8 @@
 
 In the upper half-plane |w| <= 1, so every input there has a finite value:
 signed zeros, subnormals, |z| from 1e-300 to 1e300 (past 1.3e154, where
-z^2 overflows, the far field takes over) and an infinite real part, where
-w is 0.  Each call must return it with no NaN and no numpy RuntimeWarning,
+z^2 overflows, the far field takes over) and an infinite part, where w
+is 0.  Each call must return it with no NaN and no numpy RuntimeWarning,
 within the proven relative bound plus the 13 digits the Faddeeva Package
 (scipy.special.wofz) is written to deliver.  mpmath checks a smaller
 sample, with |z| up to 1e6, including subnormal points on the real axis,
@@ -75,6 +75,7 @@ def w_quiet(z):
 @given(st.lists(UPPER, min_size=1, max_size=16))
 @example([2e154 + 1e150j])
 @example([1e100 + 1e90j, math.inf + 1.0j, -math.inf + 0.0j, 1e-300 + 1e300j])
+@example([1.7e308 + 1j, complex(1.0, math.inf), complex(-math.inf, math.inf)])
 def test_w_finite_and_close_to_scipy(points):
     z = np.array(points)
     got = w_quiet(z)
@@ -88,6 +89,7 @@ def test_w_finite_and_close_to_scipy(points):
 @given(st.lists(LOWER, min_size=1, max_size=16))
 @example([1e200 - 1e199j, -1e200 - 1e199j, 1e300 - 5e299j])
 @example([-30.0 - 1.0j, 1.5 - 0.7j, 1.0 - 5e-324j, complex(-0.0, -0.0)])
+@example([-1.7e308 - 1j])
 def test_w_lower_half_plane(points):
     z = np.array(points)
     got = w_quiet(z)
