@@ -1,10 +1,12 @@
 """Faddeeva function w(z) in binary64 via truncated modified trapezoidal rules.
 
-The evaluator uses three closely related quadrature formulas on the first
-quadrant -- a midpoint-rule sum, the same sum with a residue correction,
+The evaluator uses three closely related quadrature formulas on the upper
+half-plane -- a midpoint-rule sum, the same sum with a residue correction,
 and a trapezoidal sum with a residue correction -- picking per point the
-one whose nodes stay at distance >= h/4 from z.  Symmetries extend the
-result to the whole complex plane.
+one whose nodes stay at distance >= h/4 from z.  Each formula satisfies
+w_N(-conj z) = conj w_N(z), so the choice reads |Re z| and the formula
+takes z as it is.  The reflection w(z) = 2 e^{-z^2} - w(-z) extends the
+result to the lower half-plane.
 """
 
 from __future__ import annotations
@@ -211,12 +213,13 @@ def _add_correction(w, a, y, p: EvalParams, tag: BranchTag, correction):
 
     M points get none.  On MM and MT points the correction 2 e^{-z^2} q/(1 +- q)
     is at most e^{y^2 - x^2 - 2 pi y/h} |2/(1 +- q)|.  With that exponent
-    below _LIVE_EXPONENT, y < x (an MM point with y >= x has y < pi/h, so
-    its exponent is above -2 pi (N+1) >= -164), and for y < x the dispatch
-    puts 2 pi x/h within pi/2 of a multiple of 2 pi on MM points and of an
-    odd multiple of pi on MT points.  So |1 +- q| >= 1, and _add_live skips
-    the correction there.  That also keeps phases 2 pi x/h ~ 1e40, which no
-    binary64 reduction places, away from the double-double sine.
+    below _LIVE_EXPONENT, y < |x| (an MM point with y >= |x| has y < pi/h,
+    so its exponent is above -2 pi (N+1) >= -164), and for y < |x| the
+    dispatch puts 2 pi x/h within pi/2 of a multiple of 2 pi on MM points
+    and of an odd multiple of pi on MT points.  So |1 +- q| >= 1, and
+    _add_live skips the correction there.  That also keeps phases
+    2 pi |x|/h ~ 1e40, which no binary64 reduction places, away from the
+    double-double sine.
     """
     if tag is BranchTag.M:
         return w
@@ -227,8 +230,11 @@ def _add_correction(w, a, y, p: EvalParams, tag: BranchTag, correction):
 
 
 def _rule(x, y, p: EvalParams, tag: BranchTag):
-    """The quadrature formula ``tag`` on points x + iy of the closed first
-    quadrant below the far-field cut, given as float64 planes x and y."""
+    """The quadrature formula ``tag`` on points x + iy of the closed upper
+    half-plane below the far-field cut, given as float64 planes x and y.
+
+    Every step is odd or even in x, so w(-x + iy) = conj w(x + iy) bit for
+    bit: the sign of x needs no fold."""
     a = x * x
     a -= y * y
     b = x * y
@@ -240,7 +246,7 @@ def _rule(x, y, p: EvalParams, tag: BranchTag):
     )
 
 
-#: far-field cut on max(x, y) in the first quadrant.  At and above it every
+#: far-field cut on max(|x|, y) in the upper half-plane.  At and above it every
 #: t_k^2 (at most 78.5 for N <= 25) is below 1e-38 |z^2|, under the rounding
 #: of z^2 - t_k^2 in binary64 and in double-double, so each rule is i c/z to
 #: working precision, with c = (2h/pi) sum_k e^{-t_k^2} (see _far), and its
@@ -250,20 +256,20 @@ _FAR = 1e20
 
 def _far_scale(x, y):
     """Far-field points as (u, v, e) with x = u 2^e and y = v 2^e exactly and
-    max(u, v) in [1/2, 1): i c/z is then 2^-e i c/(u + iv), with no square
-    that can overflow.  An infinite part, where w is 0, becomes 1 under an
+    max(|u|, v) in [1/2, 1): i c/z is then 2^-e i c/(u + iv), with no square
+    that can overflow.  An infinite part, where w is 0, becomes +-1 under an
     exponent past the binary64 range, which scales any result to 0."""
-    _, e = np.frexp(np.maximum(x, y))
+    _, e = np.frexp(np.maximum(np.abs(x), y))
     e[np.isinf(x) | np.isinf(y)] = 1100
-    return np.minimum(np.ldexp(x, -e), 1.0), np.minimum(np.ldexp(y, -e), 1.0), e
+    return np.clip(np.ldexp(x, -e), -1.0, 1.0), np.minimum(np.ldexp(y, -e), 1.0), e
 
 
 def _far(x, y, p: EvalParams):
-    """w_N at first-quadrant points at or above the far-field cut: i c/z.
+    """w_N at upper half-plane points at or above the far-field cut: i c/z.
 
-    Points there are M points (y >= x) or MM points: with y < x, x/h exceeds
-    2^53, so it is an integer and the trapezoidal window is never hit.
-    Both rules reduce to i c/z with c = (2h/pi) sum_{k=0}^N e^{-t_k^2}.
+    Points there are M points (y >= |x|) or MM points: with y < |x|, |x|/h
+    exceeds 2^53, so it is an integer and the trapezoidal window is never
+    hit.  Both rules reduce to i c/z with c = (2h/pi) sum_{k=0}^N e^{-t_k^2}.
     """
     u, v, e = _far_scale(x, y)
     s = p.c / (u * u + v * v)
@@ -310,38 +316,36 @@ def _exp_neg_z2(z):
     return np.exp(-(z * z))
 
 
-def _negate_imag(w, where):
-    np.negative(w.imag, out=w.imag, where=where)
-
-
 class _Arithmetic(NamedTuple):
-    """The arithmetic the dispatch and the fold run in.
+    """The arithmetic the dispatch and the reflection run in.
 
     ``empty(size)`` makes the flat output container, ``rule(x, y, p, tag)``
-    evaluates the formula ``tag`` on first-quadrant points x + iy below the
-    far-field cut, ``far(x, y, p)`` evaluates w_N on those at or above it,
-    ``negate_imag(w, where)`` negates Im w in place where the mask holds, and
-    ``exp_neg_z2(z)`` returns e^{-z^2} for complex128 points z, for the
-    reflection of the lower half-plane.
+    evaluates the formula ``tag`` on upper half-plane points x + iy below
+    the far-field cut, ``far(x, y, p)`` evaluates w_N on those at or above
+    it, and ``exp_neg_z2(z)`` returns e^{-z^2} for complex128 points z, for
+    the reflection of the lower half-plane.
     """
 
     empty: Callable
     rule: Callable
     far: Callable
-    negate_imag: Callable
     exp_neg_z2: Callable
 
 
 _BINARY64 = _Arithmetic(
-    functools.partial(np.empty, dtype=np.complex128), _rule, _far, _negate_imag, _exp_neg_z2
+    functools.partial(np.empty, dtype=np.complex128), _rule, _far, _exp_neg_z2
 )
 
 
-def _quadrant1_block(x, y, p: EvalParams, out, arith: _Arithmetic):
-    """Write w_N(x + iy) into ``out`` for one block of first-quadrant points,
-    given as contiguous float64 planes x and y."""
-    masks = _branch_masks(x, y, p)
-    near = np.maximum(x, y) < _FAR
+def _upper_block(x, y, p: EvalParams, out, arith: _Arithmetic):
+    """Write w_N(x + iy) into ``out`` for one block of upper half-plane
+    points, given as contiguous float64 planes x and y >= 0.
+
+    The branch and the far field are chosen from |x|; the rules take x with
+    its sign."""
+    ax = np.abs(x)
+    masks = _branch_masks(ax, y, p)
+    near = np.maximum(ax, y) < _FAR
     if not near.all():
         idx = np.flatnonzero(~near)
         out[idx] = arith.far(x[idx], y[idx], p)
@@ -355,46 +359,45 @@ def _quadrant1_block(x, y, p: EvalParams, out, arith: _Arithmetic):
             out[idx] = arith.rule(x[idx], y[idx], p, tag)
 
 
+def _reflect(z, w, arith: _Arithmetic):
+    """w(z) = 2 e^{-z^2} - w(-z) at lower half-plane points z, from
+    w = w_N(-z); the term 2 e^{-z^2} is added only where it is not 0."""
+
+    def twice_exp(j):
+        e = arith.exp_neg_z2(z[j])
+        # a sum, not 2.0 * e, whose 0 * inf is NaN where e overflows
+        return e + e
+
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        # |e^{-z^2}| = e^{-(x^2 - y^2)}, with x^2 - y^2 formed without a
+        # square that overflows
+        ax, ay = np.abs(z.real), np.abs(z.imag)
+        return _add_live(-w, (ax - ay) * (ax + ay), twice_exp)
+
+
 def _evaluate(z, p: EvalParams, arith: _Arithmetic = _BINARY64):
     """w_N on validated points, in blocks of _BLOCK points; the flat result.
 
-    Each point is folded to |x| + i|y|, evaluated there, and mapped back:
-    conjugated for x < 0 in the upper half-plane, reflected through
-    w(z) = 2 e^{-z^2} - w(-z) in the lower one.  Only one block's
-    temporaries are alive at a time.
+    Upper half-plane points are evaluated where they are; a lower one z is
+    evaluated at -z and reflected.  Only one block's temporaries are alive
+    at a time.
     """
     zf = z.reshape(-1)
     out = arith.empty(zf.size)
     for i in range(0, zf.size, _BLOCK):
         zb = zf[i:i + _BLOCK]
         ob = out[i:i + _BLOCK]
-        x, y = zb.real, zb.imag
+        y = zb.imag
         if (y == -np.inf).any():
             # e^{-z^2} there has an infinite modulus and no phase
             raise DomainError("imaginary part -inf in complex argument")
-        ax, ay = np.abs(x), np.abs(y)
-        _quadrant1_block(ax, ay, p, ob, arith)
-        # w(-conj z) = conj w(z), through z itself above the real axis and
-        # through -z below it
         lower = np.flatnonzero(y < 0)
-        conj = x < 0
-        conj[lower] = x[lower] > 0
-        if conj.any():
-            arith.negate_imag(ob, conj)
+        # a contiguous copy: the strided view would reach the node sum
+        x = zb.real.copy()
+        x[lower] = -x[lower]
+        _upper_block(x, np.abs(y), p, ob, arith)
         if lower.size:
-            zl = zb[lower]
-
-            def twice_exp(j):
-                e = arith.exp_neg_z2(zl[j])
-                # a sum, not 2.0 * e, whose 0 * inf is NaN where e overflows
-                return e + e
-
-            with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-                # |e^{-z^2}| = e^{-(x^2 - y^2)}, with x^2 - y^2 formed
-                # without a square that overflows
-                axl, ayl = ax[lower], ay[lower]
-                decay = (axl - ayl) * (axl + ayl)
-                ob[lower] = _add_live(-ob[lower], decay, twice_exp)
+            ob[lower] = _reflect(zb[lower], ob[lower], arith)
     return out
 
 
@@ -408,7 +411,8 @@ def w_quadrant1(z, n: int = DEFAULT_N):
 
 
 def w_plane(z, n: int = DEFAULT_N):
-    """w_N(z) of order n on the whole complex plane via the quadrant symmetries.
+    """w_N(z) of order n on the whole complex plane: the three-formula
+    dispatch on the upper half-plane, and the reflection below it.
 
     For Im(z) < 0 the true function grows like exp(y^2 - x^2) and the
     result overflows to a signed infinity once that exceeds binary64 range.
@@ -455,7 +459,7 @@ def erfcx_c(z, n: int = DEFAULT_N):
 def dawson_real(x, n: int = DEFAULT_N):
     """Dawson's integral for real x: (sqrt(pi)/2) Im w(x).
 
-    It is odd in x exactly: the fold conjugates w(|x|) for x < 0.
+    It is odd in x exactly, as w(-x) = conj w(x) bit for bit.
     """
     x = np.asarray(x, dtype=np.float64)
     out = (math.sqrt(math.pi) / 2.0) * np.asarray(w_plane(x + 0j, n)).imag

@@ -239,6 +239,12 @@ def _sub_multiple(a: DD, n, c, c3) -> DD:
     return a - DD(*_two_prod(c[0], n)) - DD(*_two_prod(c[1], n)) - c3 * n
 
 
+def _round_half_away(v):
+    """The integer nearest v, halves away from 0: odd in v, unlike
+    floor(v + 0.5), which also rounds v + 0.5 first."""
+    return np.copysign(np.floor(np.abs(v) + 0.5), v)
+
+
 def _horner(x: DD, coeffs) -> DD:
     """sum_i coeffs[i] x^i by Horner's rule, in double-double throughout."""
     p = coeffs[-1]
@@ -289,10 +295,13 @@ def dd_sincos(a: DD):
     _SIN_TABLE give the result.  The absolute error is about 5e-32 for
     |a| up to 1e16.  Past that, n exceeds 2^53 and the error grows with
     |a| (1e-28 at 1e20); at 1e35 the result is meaningless.
+
+    Both reductions are odd in a, so sin(-a) and cos(-a) are -sin a and
+    cos a bit for bit.
     """
-    n = np.floor(a.hi / TWO_PI[0] + 0.5)
+    n = _round_half_away(a.hi / TWO_PI[0])
     r = _sub_multiple(a, n, TWO_PI, _TWO_PI_3)
-    j = np.floor(r.hi / PI_16[0] + 0.5)
+    j = _round_half_away(r.hi / PI_16[0])
     s = r - DD.from_pair(PI_16) * j
     v = -(s * s)
     sin_s = s * _horner(v, _INV_FACT[1::2])

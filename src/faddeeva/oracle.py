@@ -1,13 +1,12 @@
 """Extended-precision reference values for w(z).
 
 `w_oracle` is `w` itself with only the order and the arithmetic changed:
-it runs the binary64 evaluator's own dispatch, quadrant fold, conjugation
-and reflection code (`core._evaluate`), at order N=20 and with the three
-quadrature formulas and the reflection's e^{-z^2} in double-double. That
-gives absolute errors below 3.5e-28 (relative below 9.4e-27 in the upper
-half-plane). An independent certification route integrates the defining
-Cauchy integral of w with composite Gauss-Legendre panels, also in
-double-double.
+it runs the binary64 evaluator's own dispatch and reflection code
+(`core._evaluate`), at order N=20 and with the three quadrature formulas
+and the reflection's e^{-z^2} in double-double. That gives absolute errors
+below 3.5e-28 (relative below 9.4e-27 in the upper half-plane). An
+independent certification route integrates the defining Cauchy integral
+of w with composite Gauss-Legendre panels, also in double-double.
 """
 
 from __future__ import annotations
@@ -58,11 +57,21 @@ def _z2_dd(x, y):
 
 
 def _exp_neg_z2_dd(sq):
-    """e^{-z^2} = e^{y^2 - x^2} (cos 2xy - i sin 2xy) from _z2_dd's squares."""
+    """e^{-z^2} = e^{y^2 - x^2} (cos 2xy - i sin 2xy) from _z2_dd's squares.
+
+    A DD product Dekker-splits its factors, which overflows for a magnitude
+    above about 1.3e300: such lanes multiply on the magnitude times 2^-64
+    and scale the products back, both steps exact.  Other lanes are not
+    scaled, so a product that is subnormal there keeps its bits.
+    """
     z2, x2, y2 = sq
     mag = dd_exp(y2 - x2)
     s, c = dd_sincos(z2.im)
-    return DDComplex(mag * c, -(mag * s))
+    k = np.where(mag.hi > 2.0 ** 960, 64, 0)
+    mag = DD(np.ldexp(mag.hi, -k), np.ldexp(mag.lo, -k))
+    return DDComplex(
+        *(DD(np.ldexp(v.hi, k), np.ldexp(v.lo, k)) for v in (mag * c, -(mag * s)))
+    )
 
 
 def _pole_sum_dd(x, y, sq, pairs, two_h_over_pi):
@@ -111,8 +120,8 @@ def _corrections_dd(x, y, sq, n, tag):
 
 
 def _w_q1_dd(x, y, p: core.EvalParams, tag: BranchTag):
-    """The formula ``tag`` on first-quadrant points x + iy below the far-field
-    cut, double-double throughout."""
+    """The formula ``tag`` on upper half-plane points x + iy below the
+    far-field cut, double-double throughout."""
     sq = _z2_dd(x, y)
     w = _trap_sum_dd(x, y, sq, p.n) if tag is BranchTag.MT else _mid_sum_dd(x, y, sq, p.n)
     return core._add_correction(
@@ -130,13 +139,9 @@ def _far_dd(x, y, p: core.EvalParams) -> DDComplex:
     return DDComplex(*(DD(np.ldexp(r.hi, -e), np.ldexp(r.lo, -e)) for r in (s * v, s * u)))
 
 
-def _negate_imag_dd(w: DDComplex, where):
-    np.negative(w.im.hi, out=w.im.hi, where=where)
-    np.negative(w.im.lo, out=w.im.lo, where=where)
-
-
 def w_ref(z, n: int = ORACLE_N) -> DDComplex:
-    """w_N(z) over the whole plane: core's dispatch and fold in double-double.
+    """w_N(z) over the whole plane: core's dispatch and reflection in
+    double-double.
 
     Array input gives a flat result in the flattened order of z; 0-d input
     gives a DDComplex of 0-d arrays.
@@ -146,7 +151,7 @@ def w_ref(z, n: int = ORACLE_N) -> DDComplex:
     # rebinds _w_q1_dd by module attribute, and a tuple made at import would
     # keep the unwrapped function
     dd = core._Arithmetic(
-        DDComplex.zeros, _w_q1_dd, _far_dd, _negate_imag_dd,
+        DDComplex.zeros, _w_q1_dd, _far_dd,
         lambda zl: _exp_neg_z2_dd(_z2_dd(zl.real, zl.imag)),
     )
     out = core._evaluate(z, core._params(n), arith=dd)

@@ -254,6 +254,13 @@ class TestCli:
         assert r.returncode == 0
         assert "0.30474420525691" in r.stdout
         assert "branch = MM" in r.stdout
+        # Re z < 0 above the real axis runs the branch of |Re z| directly
+        r = run_cli("eval", "--re", "-3.2", "--im", "0.1")
+        assert r.returncode == 0
+        assert "branch = MT" in r.stdout
+        r = run_cli("eval", "--re", "1", "--im", "-1")
+        assert r.returncode == 0
+        assert "branch = reflection" in r.stdout
 
     def test_eval_other_methods(self):
         for method in ("weideman", "zaghloul"):

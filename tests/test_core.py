@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import faddeeva
-from faddeeva import core
+from faddeeva import core, oracle
 from faddeeva.bounds import abs_bound
 from faddeeva.errors import DomainError, ParameterError
 from faddeeva.oracle import erfc_oracle, w_oracle
@@ -120,10 +120,30 @@ class TestMidSum:
         assert rule(0j, M) == 0j
 
     def test_reflection_symmetry(self):
-        z = 1 + 2j
-        a = rule(-np.conj(z), M)
-        b = rule(z, M)
-        assert a == np.conj(b)
+        # w_N(-conj z) = conj w_N(z) bit for bit, in both arithmetics, in each
+        # rule with its correction below the far-field cut and in the far
+        # field above it (x = -inf there scales to -1): the dispatch relies
+        # on it to evaluate x < 0 without a fold.  Near x = h/2 the correction's
+        # phase 2 pi x/h is pi to the last bit, midway between two
+        # reductions by 2 pi (in DD at N = 20, one ulp below h/2)
+        half_h = np.array([P11.h / 2, core._params(oracle.ORACLE_N).h / 2])
+        half_h = np.concatenate([np.nextafter(half_h, 0), half_h, np.nextafter(half_h, 1)])
+        near = np.concatenate([[1 + 2j, 3.2 + 0.1j, 0.4 + 0.3j, 2.9 + 1e-3j], half_h + 0.1j])
+        far = np.array([1e25 + 1j, 1e300 + 1e290j, complex(np.inf, 2.0)])
+        arithmetics = [
+            (P11, core._rule, core._far, lambda w: (w.real, w.imag)),
+            (core._params(oracle.ORACLE_N), oracle._w_q1_dd, oracle._far_dd,
+             lambda w: (w.re.hi, w.re.lo, w.im.hi, w.im.lo)),
+        ]
+        for p, rule_, far_, words in arithmetics:
+            cases = [(near, lambda x, y, tag=tag: rule_(x, y, p, tag)) for tag in (M, MM, MT)]
+            cases.append((far, lambda x, y: far_(x, y, p)))
+            for z, f in cases:
+                a = words(f(-z.real, z.imag.copy()))
+                b = words(f(z.real.copy(), z.imag.copy()))
+                half = len(b) // 2
+                conj_b = b[:half] + tuple(-v for v in b[half:])
+                assert [_bits(v) for v in a] == [_bits(v) for v in conj_b], (p.n, z)
 
     def test_imag_axis_matches_oracle(self):
         # w(10i) = erfcx(10); M-branch territory

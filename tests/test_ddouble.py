@@ -224,6 +224,12 @@ class TestAgainstMpmath:
             v = self.mp_value(edges, i)
             assert abs(self.mp_value(s, i) - mp.sin(v)) <= 1e-29
             assert abs(self.mp_value(c, i) - mp.cos(v)) <= 1e-29
+        # odd and even bit for bit, also at the reductions' half-way points
+        for b in (a, edges):
+            s, c = dd_sincos(b)
+            s_neg, c_neg = dd_sincos(-b)
+            for u, v in ((s_neg, -s), (c_neg, c)):
+                assert np.array_equal(u.hi, v.hi) and np.array_equal(u.lo, v.lo)
 
     def test_constants_are_rounded_values(self):
         for j, c in enumerate(ddouble._INV_FACT):

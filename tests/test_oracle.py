@@ -117,6 +117,22 @@ class TestCertification:
         rhs = 2.0 * np.exp(-(z[1] * z[1]))
         assert abs(lhs - rhs) < 1e-14 * abs(rhs)
 
+    def test_reflection_past_split_range_vs_mpmath(self):
+        # past about 1.3e300 the modulus of e^{-z^2} overflows the Dekker
+        # split of a plain DD product; binary64 w is finite there
+        mp = pytest.importorskip("mpmath")
+        z = np.array([-26.5j, -26.6j, 0.3 - 26.6j, -2 - 26.6j, 1.1 - 26.62j])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            r = w_oracle(z)
+        with mp.workdps(60):
+            for j, zj in enumerate(z):
+                zm = mp.mpc(zj)
+                want = mp.exp(-zm * zm) * mp.erfc(-1j * zm)
+                got = mp.mpc(mp.mpf(r.re.hi[j]) + mp.mpf(r.re.lo[j]),
+                             mp.mpf(r.im.hi[j]) + mp.mpf(r.im.lo[j]))
+                assert abs(got - want) <= 1e-29 * abs(want), zj
+
 
 class TestCorrectionSkip:
     @staticmethod
