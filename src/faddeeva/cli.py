@@ -57,11 +57,7 @@ def cmd_eval(args) -> int:
         if n is None:
             n = core.DEFAULT_N
         value = core.w_plane(z, n)
-        if z.imag < 0:
-            tag = "reflection"
-        else:
-            # the rules are even in x up to conjugation: -x runs x's branch
-            tag = core.select_branch(complex(abs(z.real), z.imag), n).name
+        tag = "reflection" if z.imag < 0 else core.select_branch(z, n).name
         print(f"w({z.real:g}{z.imag:+g}i) = {value.real:.17g} {value.imag:+.17g}i")
         print(f"branch = {tag}")
         print(f"abs_bound = {bounds.abs_bound(n):.6g}")

@@ -105,10 +105,6 @@ class DD:
         out = self.hi + self.lo
         return float(out) if out.ndim == 0 else out
 
-    @property
-    def shape(self):
-        return self.hi.shape
-
     def __getitem__(self, idx):
         return DD(self.hi[idx], self.lo[idx])
 
@@ -332,10 +328,6 @@ class DDComplex:
         z = np.asarray(z, dtype=np.complex128)
         return cls(DD(z.real.copy()), DD(z.imag.copy()))
 
-    @property
-    def shape(self):
-        return self.re.shape
-
     def __getitem__(self, idx):
         return DDComplex(self.re[idx], self.im[idx])
 
@@ -381,20 +373,17 @@ class DDComplex:
     def abs(self) -> DD:
         return dd_sqrt(self.abs2())
 
-    def __truediv__(self, other):
-        if isinstance(other, DDComplex):
-            d = other.abs2()
-            return DDComplex(
-                (self.re * other.re + self.im * other.im) / d,
-                (self.im * other.re - self.re * other.im) / d,
-            )
-        return DDComplex(self.re / other, self.im / other)
+    def __truediv__(self, other: DDComplex):
+        d = other.abs2()
+        return DDComplex(
+            (self.re * other.re + self.im * other.im) / d,
+            (self.im * other.re - self.re * other.im) / d,
+        )
 
     def __rtruediv__(self, other):
+        """A real other (a DD or a float) over this number."""
         d = self.abs2()
-        if isinstance(other, DD) or np.isrealobj(np.asarray(other)):
-            return DDComplex(self.re * other / d, -(self.im * other) / d)
-        return DDComplex.from_complex(other) / self
+        return DDComplex(self.re * other / d, -(self.im * other) / d)
 
     def __repr__(self):
         return f"DDComplex({self.re!r}, {self.im!r})"

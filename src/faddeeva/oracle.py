@@ -164,11 +164,19 @@ def w_oracle(z) -> DDComplex:
 
 
 def erfc_oracle(z) -> DDComplex:
-    """Reference erfc(z) = e^{-z^2} w(iz) in double-double arithmetic."""
-    z = np.asarray(z, dtype=np.complex128)
+    """Reference erfc(z) = e^{-z^2} w(iz) in double-double arithmetic.
+
+    An infinite real part gives the limit, 0 at +inf and 2 at -inf: the
+    Dekker split of an infinite square is inf - inf.
+    """
+    z = core._as_xy(z)
     zf = np.atleast_1d(z).ravel()
+    inf = np.isinf(zf.real)
+    limit = np.where(zf.real[inf] > 0, 0.0, 2.0)
+    zf = np.where(inf, 0.0, zf)
     x, y = zf.real.copy(), zf.imag.copy()
-    out = _exp_neg_z2_dd(_z2_dd(x, y)) * w_oracle(-y + 1j * x)
+    out = _exp_neg_z2_dd(_z2_dd(x, y)) * w_oracle(core._times_i(zf))
+    out[inf] = DDComplex(DD(limit), DD(np.zeros_like(limit)))
     if z.ndim == 0:
         return out[0]
     return out

@@ -26,7 +26,6 @@ __all__ = [
     "weideman_fit_coeffs",
     "weideman_eval",
     "ZaghloulParams",
-    "zaghloul_sums",
     "zaghloul_eval",
 ]
 
@@ -214,13 +213,6 @@ def _sums_vec(x, y, p: ZaghloulParams):
                 sums[j][far] += np.where(valid, wb[j], 0.0).sum(axis=1)
 
     return [s.reshape(shape) for s in sums]
-
-
-def zaghloul_sums(x: float, y: float, p: ZaghloulParams = ZaghloulParams()):
-    """Return the truncated sums (S1, S2, S3, S4, S5) at a single point."""
-    if x < 0.0 or y < 0.0:
-        raise DomainError("sums are defined for x >= 0, y >= 0")
-    return tuple(float(s) for s in _sums_vec(x, y, p))
 
 
 def zaghloul_eval(z, p: ZaghloulParams = ZaghloulParams()):

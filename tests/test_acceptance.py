@@ -205,7 +205,7 @@ class TestCriterion6Identities:
         msgs.append(f"w(0)=1 {'exact' if ok_origin else 'VIOLATED'}")
 
         x = np.arange(0.0, 30.0 + 1e-9, 0.01)
-        wreal = np.asarray(core.w_quadrant1(x + 0j, 11))
+        wreal = np.asarray(core.w_plane(x + 0j, 11))
         gauss_err = float(np.max(np.abs(wreal.real - np.exp(-x * x))))
         ok_gauss = gauss_err <= c1
         msgs.append(f"Re w(x) vs e^-x^2 {gauss_err:.1e}")
@@ -232,7 +232,7 @@ class TestCriterion6Identities:
         ok_cont = cont <= tol
         msgs.append(f"branch continuity {cont:.1e} <= {tol:.1e}")
 
-        w11 = core.w_quadrant1(polar_grid, 11)
+        w11 = core.w_plane(polar_grid, 11)
         lb = 1.0 / (1.0 + math.sqrt(math.pi) * np.abs(polar_grid)) - c1
         ok_lb = bool(np.all(np.abs(w11) >= lb))
         msgs.append("lower bound " + ("holds" if ok_lb else "VIOLATED"))

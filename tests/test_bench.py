@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import faddeeva
-from faddeeva import bench
+from faddeeva import bench, cli
 from faddeeva.bench import (
     GridSpec,
     SweepRecord,
@@ -309,6 +309,26 @@ class TestCli:
         r = run_cli("table", "--methods", "trap(11);weideman(40)",
                     "--out", str(out), "--check", *self.SMALL_FLAGS)
         assert r.returncode == 0, r.stderr
+
+    def test_sweep_check_fails(self, tmp_path, monkeypatch, capsys):
+        # no record stays within its bound plus a negative floor
+        monkeypatch.setattr(cli, "_CHECK_FLOOR_B64", -1.0)
+        out = tmp_path / "s.csv"
+        rc = cli.main(["sweep", "--n-min", "11", "--n-max", "11",
+                       "--out", str(out), "--check", *self.SMALL_FLAGS])
+        assert rc == 3
+        assert "FAIL n=11: abs " in capsys.readouterr().err
+        assert out.exists()
+
+    def test_table_check_fails(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_TABLE_THRESHOLDS", {"trap(11)": ("max_abs", 0.0)})
+        out = tmp_path / "t.csv"
+        rc = cli.main(["table", "--methods", "trap(11);weideman(40)",
+                       "--out", str(out), "--check", *self.SMALL_FLAGS])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "FAIL trap(11): max_abs " in err and "> 0.000e+00" in err
+        assert "weideman" not in err
 
     def test_bench_timing(self, tmp_path):
         out = tmp_path / "b.csv"

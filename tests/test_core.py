@@ -76,7 +76,6 @@ class TestOrderArgument:
 
     CALLS = {
         "w": lambda **kw: faddeeva.w(1 + 1j, **kw),
-        "w_quadrant1": lambda **kw: faddeeva.w_quadrant1(1 + 1j, **kw),
         "erfc": lambda **kw: faddeeva.erfc(0.5, **kw),
         "erf": lambda **kw: faddeeva.erf(0.5, **kw),
         "erfcx": lambda **kw: faddeeva.erfcx(0.5, **kw),
@@ -180,37 +179,50 @@ class TestModTrap:
 
 
 class TestSelectBranch:
+    @staticmethod
+    def branch(z):
+        """select_branch at z, which must read |Re z|: the dispatch runs -x
+        on x's branch."""
+        tag = core.select_branch(z, 11)
+        assert core.select_branch(complex(-z.real, z.imag), 11) is tag
+        return tag
+
     def test_examples(self):
-        assert core.select_branch(7j, 11) is core.BranchTag.M
-        assert core.select_branch(3.2 + 0.1j, 11) is core.BranchTag.MT
-        assert core.select_branch(0j, 11) is core.BranchTag.MM
+        assert self.branch(7j) is core.BranchTag.M
+        assert self.branch(3.2 + 0.1j) is core.BranchTag.MT
+        assert self.branch(0j) is core.BranchTag.MM
 
     def test_m_threshold(self):
         poh = np.pi / P11.h
-        assert core.select_branch(1j * (poh + 0.01), 11) is core.BranchTag.M
-        assert core.select_branch(1j * (poh - 0.01), 11) is core.BranchTag.MM
+        assert self.branch(1j * (poh + 0.01)) is core.BranchTag.M
+        assert self.branch(1j * (poh - 0.01)) is core.BranchTag.MM
 
     def test_mt_requires_y_below_x(self):
         # same x as an MT point but y >= x disables MT
-        assert core.select_branch(3.2 + 4j, 11) is core.BranchTag.MM
+        assert self.branch(3.2 + 4j) is core.BranchTag.MM
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            core.select_branch(1 - 1e-300j, 11)
 
 
 class TestQuadrant1:
     def test_origin(self):
-        assert core.w_quadrant1(0j, 11) == 1.0 + 0j
+        assert core.w_plane(0j, 11) == 1.0 + 0j
 
     def test_imag_axis(self):
-        assert abs(core.w_quadrant1(10j, 11) - oracle_c(10j)) < 2e-15
+        assert abs(core.w_plane(10j, 11) - oracle_c(10j)) < 2e-15
 
     @pytest.mark.parametrize("z", [-1 + 1j, 1 - 1j])
     def test_domain(self, z):
+        # the first-quadrant hook that the benchmark's core.dispatch layer traces
         with pytest.raises(DomainError):
             core.w_quadrant1(z, 11)
 
     def test_infinite_imag_is_zero(self):
-        # the far field scales an infinite part to 0, as w_plane does
-        assert core.w_quadrant1(complex(1.0, np.inf), 11) == 0j
-        assert core.w_quadrant1(complex(np.inf, np.inf), 11) == 0j
+        # the far field scales an infinite part to 0
+        assert core.w_plane(complex(1.0, np.inf), 11) == 0j
+        assert core.w_plane(complex(np.inf, np.inf), 11) == 0j
 
     def test_node_distance_guarantee(self):
         # each point is at least h/4 from the poles of its dispatched rule:
@@ -227,13 +239,13 @@ class TestQuadrant1:
     def test_random_vs_oracle(self):
         rng = np.random.default_rng(1)
         z = 10.0 ** rng.uniform(-5, 4, 500) * np.exp(1j * rng.uniform(0, np.pi / 2, 500))
-        err = np.abs(core.w_quadrant1(z, 11) - oracle_c(z))
+        err = np.abs(core.w_plane(z, 11) - oracle_c(z))
         assert np.max(err) < 2e-15
 
     def test_lower_bound_consistency(self):
         rng = np.random.default_rng(2)
         z = 10.0 ** rng.uniform(-5, 4, 500) * np.exp(1j * rng.uniform(0, np.pi / 2, 500))
-        w = core.w_quadrant1(z, 11)
+        w = core.w_plane(z, 11)
         lb = 1.0 / (1.0 + math.sqrt(math.pi) * np.abs(z)) - abs_bound(11)
         assert np.all(np.abs(w) >= lb)
 
@@ -246,7 +258,7 @@ class TestPlane:
 
     def test_second_quadrant_bit_exact(self):
         a = core.w_plane(-2 + 0.5j, 11)
-        b = core.w_quadrant1(2 + 0.5j, 11)
+        b = core.w_plane(2 + 0.5j, 11)
         assert a == np.conj(b)
 
     def test_lower_half_overflow(self):
@@ -302,8 +314,8 @@ class TestBlocks:
         pieces = [core.w_plane(z[a:b], 11) for a, b in zip(cuts, cuts[1:]) if a < b]
         assert _bits(out) == _bits(np.concatenate([np.empty(0, complex)] + pieces))
         q = np.abs(z.real) + 1j * np.abs(z.imag)
-        scalars = [core.w_quadrant1(complex(v), 11) for v in q[:: max(1, n // 50)]]
-        assert _bits(core.w_quadrant1(q, 11)[:: max(1, n // 50)]) == _bits(np.array(scalars))
+        scalars = [core.w_plane(complex(v), 11) for v in q[:: max(1, n // 50)]]
+        assert _bits(core.w_plane(q, 11)[:: max(1, n // 50)]) == _bits(np.array(scalars))
 
     def test_quadrants_interleaved_across_edge(self):
         base = np.array([1.5 + 0.7j, 3.3 + 0.1j, 0.2 + 8.0j, 7.0 + 2.0j])
@@ -328,7 +340,7 @@ class TestBlocks:
         s = core.w_plane(np.complex128(1.5 - 0.5j), 11)
         assert isinstance(s, complex)
         assert s == core.w_plane(np.array([1.5 - 0.5j]), 11)[0]
-        assert core.w_quadrant1(np.array(2.0 + 1.0j), 11) == core.w_quadrant1(
+        assert core.w_plane(np.array(2.0 + 1.0j), 11) == core.w_plane(
             np.array([2.0 + 1.0j]), 11
         )[0]
 
@@ -367,6 +379,10 @@ class TestDerived:
         assert core.erfc_c(-np.inf, 11) == 2.0
         assert core.erf_c(np.inf, 11) == 1.0 and core.erf_c(-np.inf, 11) == -1.0
         assert core.erfcx_c(np.inf, 11) == 0j
+        # x + i inf is formed by parts too: w there is 0
+        assert core.voigt_kl(1.0, np.inf, 11) == (0.0, 0.0)
+        k, l = core.voigt_kl(np.array([-np.inf, -2.0, 0.0, 3.0]), np.inf, 11)
+        assert not np.any(k) and not np.any(l)
         # w(-i inf): e^{-z^2} has an infinite modulus and no phase
         with pytest.raises(DomainError):
             core.erfcx_c(-np.inf, 11)
@@ -403,7 +419,7 @@ class TestDerived:
 class TestRealAxisIdentity:
     def test_exp_identity_to_30(self):
         x = np.arange(0.0, 30.0 + 1e-9, 0.01)
-        w = np.asarray(core.w_quadrant1(x + 0j, 11))
+        w = np.asarray(core.w_plane(x + 0j, 11))
         err = np.abs(w.real - np.exp(-x * x))
         assert np.max(err) <= abs_bound(11)
 
@@ -415,7 +431,7 @@ class TestExponentialDecay:
         ref = oracle_c(z)
         prev = None
         for n in range(0, 10):
-            e = float(np.max(np.abs(core.w_quadrant1(z, n) - ref)))
+            e = float(np.max(np.abs(core.w_plane(z, n) - ref)))
             if prev is not None and prev > 1e-13:
                 assert e / prev <= math.exp(-math.pi) * 1.5
             prev = e

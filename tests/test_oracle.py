@@ -76,6 +76,14 @@ class TestErfcOracle:
         s = a.re + b.re  # double-double addition
         assert abs((s.hi - 2.0) + s.lo) < 1e-28
 
+    def test_infinite_real_part(self):
+        # the limits 0 and 2, as erfc gives them
+        for z, limit in ((np.inf, 0.0), (-np.inf, 2.0)):
+            r = erfc_oracle(z)
+            assert (r.re.hi, r.re.lo, r.im.hi, r.im.lo) == (limit, 0.0, 0.0, 0.0)
+        r = erfc_oracle(np.array([-np.inf, 1.0, np.inf]))
+        assert r.re.hi.tolist() == [2.0, erfc_oracle(1.0).re.hi, 0.0]
+
 
 class TestCertification:
     def test_quadrature_agreement_sample(self):
