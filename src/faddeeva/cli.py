@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 parameter/usage error, 3 threshold violation when
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 import numpy as np
@@ -155,6 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate w(z) at one point")
+    # argparse takes "-1e25" and "-inf" for options; these are numbers too
+    p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-inf$")
     p.add_argument("--re", type=float, required=True)
     p.add_argument("--im", type=float, required=True)
     p.add_argument("--n", type=int, default=None,

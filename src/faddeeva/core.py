@@ -3,10 +3,10 @@
 The evaluator uses three closely related quadrature formulas on the upper
 half-plane -- a midpoint-rule sum, the same sum with a residue correction,
 and a trapezoidal sum with a residue correction -- picking per point the
-one whose nodes stay at distance >= h/4 from z.  Each formula satisfies
-w_N(-conj z) = conj w_N(z), so the choice reads |Re z| and the formula
-takes z as it is.  The reflection w(z) = 2 e^{-z^2} - w(-z) extends the
-result to the lower half-plane.
+one whose nodes stay at distance >= h/4 from z, or far out i c/z, which
+all three reduce to.  Each satisfies w_N(-conj z) = conj w_N(z), so the
+choice reads |Re z| and the formula takes z as it is.  The reflection
+w(z) = 2 e^{-z^2} - w(-z) extends the result to the lower half-plane.
 """
 
 from __future__ import annotations
@@ -34,11 +34,13 @@ def step_size(n: int) -> float:
 
 
 class BranchTag(enum.Enum):
-    """Which of the three quadrature formulas the dispatch rule picks."""
+    """The part of the dispatch a point falls in, in _branch_masks' order: a
+    quadrature formula, or FAR, where all three reduce to i c/z."""
 
-    M = "M"    # plain midpoint sum
-    MM = "MM"  # midpoint sum plus residue correction
-    MT = "MT"  # trapezoidal sum plus residue correction
+    M = "M"      # plain midpoint sum
+    MT = "MT"    # trapezoidal sum plus residue correction
+    MM = "MM"    # midpoint sum plus residue correction
+    FAR = "FAR"  # i c/z, at and above the far-field cut
 
 
 class EvalParams(NamedTuple):
@@ -230,11 +232,13 @@ def _add_correction(w, a, y, p: EvalParams, tag: BranchTag, correction):
 
 
 def _rule(x, y, p: EvalParams, tag: BranchTag):
-    """The quadrature formula ``tag`` on points x + iy of the closed upper
-    half-plane below the far-field cut, given as float64 planes x and y.
+    """The part ``tag`` of the dispatch on its points x + iy of the closed
+    upper half-plane, given as float64 planes x and y.
 
     Every step is odd or even in x, so w(-x + iy) = conj w(x + iy) bit for
     bit: the sign of x needs no fold."""
+    if tag is BranchTag.FAR:
+        return _far(x, y, p)
     a = x * x
     a -= y * y
     b = x * y
@@ -265,11 +269,11 @@ def _far_scale(x, y):
 
 
 def _far(x, y, p: EvalParams):
-    """w_N at upper half-plane points at or above the far-field cut: i c/z.
+    """w_N at the FAR points of the upper half-plane: i c/z.
 
-    Points there are M points (y >= |x|) or MM points: with y < |x|, |x|/h
-    exceeds 2^53, so it is an integer and the trapezoidal window is never
-    hit.  Both rules reduce to i c/z with c = (2h/pi) sum_{k=0}^N e^{-t_k^2}.
+    The M rule (y >= |x|) and the MM rule (y < |x|, where |x|/h is an
+    integer or NaN, outside the trapezoidal window) both reduce there to
+    i c/z with c = (2h/pi) sum_{k=0}^N e^{-t_k^2}.
     """
     u, v, e = _far_scale(x, y)
     s = p.c / (u * u + v * v)
@@ -280,21 +284,22 @@ def _far(x, y, p: EvalParams):
 
 
 def _branch_masks(x, y, p: EvalParams):
-    pi_over_h = np.pi / p.h
-    m = y >= np.maximum(x, pi_over_h)
-    # an infinite x gives a NaN phase, so neither MT nor M: the far field
-    # takes it, as it takes an x whose x/h overflows
+    """The masks of BranchTag's M, MT, MM and FAR at points x + iy, x, y >= 0:
+    the partition the dispatch runs, one mask set per point.  MT never meets
+    FAR, where y < x puts x/h above 2^53, an integer, or NaN at x = inf."""
+    far = np.maximum(x, y) >= _FAR
+    m = (y >= np.maximum(x, np.pi / p.h)) & ~far
     with np.errstate(invalid="ignore", over="ignore"):
         xh = x / p.h
         phi = xh - np.floor(xh)
     # y < x already excludes m
     mt = (y < x) & (phi >= 0.25) & (phi <= 0.75)
-    mm = ~(m | mt)
-    return m, mt, mm
+    mm = ~(m | mt | far)
+    return m, mt, mm, far
 
 
 def select_branch(z, n: int = DEFAULT_N) -> BranchTag:
-    """The formula of order n that the dispatch runs at a scalar z of the
+    """The part of the dispatch of order n that runs at a scalar z of the
     closed upper half-plane; it reads |Re z|, as _upper_block does."""
     p = _params(n)
     z = _as_xy(z)
@@ -302,12 +307,8 @@ def select_branch(z, n: int = DEFAULT_N) -> BranchTag:
         raise ParameterError("select_branch takes a scalar argument")
     if z.imag < 0:
         raise DomainError("select_branch requires Im z >= 0")
-    m, mt, _ = _branch_masks(np.abs(z.real), z.imag, p)
-    if m:
-        return BranchTag.M
-    if mt:
-        return BranchTag.MT
-    return BranchTag.MM
+    masks = _branch_masks(np.abs(z.real), z.imag, p)
+    return next(tag for tag, sel in zip(BranchTag, masks) if sel)
 
 
 def _exp_neg_z2(z):
@@ -320,37 +321,26 @@ class _Arithmetic(NamedTuple):
     """The arithmetic the dispatch and the reflection run in.
 
     ``empty(size)`` makes the flat output container, ``rule(x, y, p, tag)``
-    evaluates the formula ``tag`` on upper half-plane points x + iy below
-    the far-field cut, ``far(x, y, p)`` evaluates w_N on those at or above
-    it, and ``exp_neg_z2(z)`` returns e^{-z^2} for complex128 points z, for
-    the reflection of the lower half-plane.
+    evaluates the part ``tag`` of the dispatch on its upper half-plane
+    points x + iy, and ``exp_neg_z2(z)`` returns e^{-z^2} for complex128
+    points z, for the reflection of the lower half-plane.
     """
 
     empty: Callable
     rule: Callable
-    far: Callable
     exp_neg_z2: Callable
 
 
-_BINARY64 = _Arithmetic(
-    functools.partial(np.empty, dtype=np.complex128), _rule, _far, _exp_neg_z2
-)
+_BINARY64 = _Arithmetic(functools.partial(np.empty, dtype=np.complex128), _rule, _exp_neg_z2)
 
 
 def _upper_block(x, y, p: EvalParams, out, arith: _Arithmetic):
     """Write w_N(x + iy) into ``out`` for one block of upper half-plane
     points, given as contiguous float64 planes x and y >= 0.
 
-    The branch and the far field are chosen from |x|; the rules take x with
-    its sign."""
-    ax = np.abs(x)
-    masks = _branch_masks(ax, y, p)
-    near = np.maximum(ax, y) < _FAR
-    if not near.all():
-        idx = np.flatnonzero(~near)
-        out[idx] = arith.far(x[idx], y[idx], p)
-        masks = [sel & near for sel in masks]
-    for tag, sel in zip((BranchTag.M, BranchTag.MT, BranchTag.MM), masks):
+    The partition is read from |x|; each part takes x with its sign."""
+    masks = _branch_masks(np.abs(x), y, p)
+    for tag, sel in zip(BranchTag, masks):
         # index arrays gather and scatter several times faster than masks
         idx = np.flatnonzero(sel)
         if idx.size == x.size:
@@ -412,8 +402,8 @@ def w_quadrant1(z, n: int = DEFAULT_N):
 
 
 def w_plane(z, n: int = DEFAULT_N):
-    """w_N(z) of order n on the whole complex plane: the three-formula
-    dispatch on the upper half-plane, and the reflection below it.
+    """w_N(z) of order n on the whole complex plane: the dispatch on the
+    upper half-plane, and the reflection below it.
 
     For Im(z) < 0 the true function grows like exp(y^2 - x^2) and the
     result overflows to a signed infinity once that exceeds binary64 range.
@@ -450,6 +440,8 @@ def erfc_c(z, n: int = DEFAULT_N):
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         out = _exp_neg_z2(zr) * w_plane(_times_i(zr), n)
         out = np.where(neg, 2.0 - out, out)
+    # erfc(iy) = 1 - i erfi(y), where e^{-z^2} w(iz) can be inf * 0
+    out.real[z.real == 0] = 1.0
     return _scalar_out(out, scalar)
 
 

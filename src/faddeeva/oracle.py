@@ -120,8 +120,10 @@ def _corrections_dd(x, y, sq, n, tag):
 
 
 def _w_q1_dd(x, y, p: core.EvalParams, tag: BranchTag):
-    """The formula ``tag`` on upper half-plane points x + iy below the
-    far-field cut, double-double throughout."""
+    """The part ``tag`` of the dispatch on its upper half-plane points
+    x + iy, double-double throughout."""
+    if tag is BranchTag.FAR:
+        return _far_dd(x, y, p)
     sq = _z2_dd(x, y)
     w = _trap_sum_dd(x, y, sq, p.n) if tag is BranchTag.MT else _mid_sum_dd(x, y, sq, p.n)
     return core._add_correction(
@@ -131,7 +133,7 @@ def _w_q1_dd(x, y, p: core.EvalParams, tag: BranchTag):
 
 
 def _far_dd(x, y, p: core.EvalParams) -> DDComplex:
-    """i c/z at or above the far-field cut, as core._far, in double-double;
+    """i c/z on the FAR points, as core._far, in double-double;
     the squares of the scaled planes cannot overflow the Dekker split."""
     c = _dd_params(p.n)[5]
     u, v, e = core._far_scale(x, y)
@@ -151,8 +153,7 @@ def w_ref(z, n: int = ORACLE_N) -> DDComplex:
     # rebinds _w_q1_dd by module attribute, and a tuple made at import would
     # keep the unwrapped function
     dd = core._Arithmetic(
-        DDComplex.zeros, _w_q1_dd, _far_dd,
-        lambda zl: _exp_neg_z2_dd(_z2_dd(zl.real, zl.imag)),
+        DDComplex.zeros, _w_q1_dd, lambda zl: _exp_neg_z2_dd(_z2_dd(zl.real, zl.imag))
     )
     out = core._evaluate(z, core._params(n), arith=dd)
     return out[0] if z.ndim == 0 else out

@@ -262,6 +262,15 @@ class TestCli:
         assert r.returncode == 0
         assert "branch = reflection" in r.stdout
 
+    def test_eval_far_and_negative_arguments(self):
+        # negative values in exponent form and -inf are numbers, not options;
+        # the far field is reported as the dispatch's fourth part
+        for re_, im, tag in (("1e25", "1", "FAR"), ("-1e25", "1", "FAR"),
+                             ("-inf", "1", "FAR"), ("1", "-1e-3", "reflection")):
+            r = run_cli("eval", "--re", re_, "--im", im)
+            assert r.returncode == 0, r.stderr
+            assert f"branch = {tag}" in r.stdout
+
     def test_eval_other_methods(self):
         for method in ("weideman", "zaghloul"):
             r = run_cli("eval", "--re", "1", "--im", "1", "--method", method)

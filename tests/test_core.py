@@ -111,7 +111,7 @@ def rule(z, tag):
     return complex(out[0]) if z.ndim == 0 else out
 
 
-M, MM, MT = core.BranchTag.M, core.BranchTag.MM, core.BranchTag.MT
+M, MM, MT, FAR = core.BranchTag.M, core.BranchTag.MM, core.BranchTag.MT, core.BranchTag.FAR
 
 
 class TestMidSum:
@@ -120,26 +120,26 @@ class TestMidSum:
 
     def test_reflection_symmetry(self):
         # w_N(-conj z) = conj w_N(z) bit for bit, in both arithmetics, in each
-        # rule with its correction below the far-field cut and in the far
-        # field above it (x = -inf there scales to -1): the dispatch relies
-        # on it to evaluate x < 0 without a fold.  Near x = h/2 the correction's
-        # phase 2 pi x/h is pi to the last bit, midway between two
-        # reductions by 2 pi (in DD at N = 20, one ulp below h/2)
+        # part of the dispatch: each rule with its correction below the
+        # far-field cut, and FAR above it (x = -inf there scales to -1).  The
+        # dispatch relies on it to evaluate x < 0 without a fold.  Near
+        # x = h/2 the correction's phase 2 pi x/h is pi to the last bit,
+        # midway between two reductions by 2 pi (in DD at N = 20, one ulp
+        # below h/2)
         half_h = np.array([P11.h / 2, core._params(oracle.ORACLE_N).h / 2])
         half_h = np.concatenate([np.nextafter(half_h, 0), half_h, np.nextafter(half_h, 1)])
         near = np.concatenate([[1 + 2j, 3.2 + 0.1j, 0.4 + 0.3j, 2.9 + 1e-3j], half_h + 0.1j])
         far = np.array([1e25 + 1j, 1e300 + 1e290j, complex(np.inf, 2.0)])
         arithmetics = [
-            (P11, core._rule, core._far, lambda w: (w.real, w.imag)),
-            (core._params(oracle.ORACLE_N), oracle._w_q1_dd, oracle._far_dd,
+            (P11, core._rule, lambda w: (w.real, w.imag)),
+            (core._params(oracle.ORACLE_N), oracle._w_q1_dd,
              lambda w: (w.re.hi, w.re.lo, w.im.hi, w.im.lo)),
         ]
-        for p, rule_, far_, words in arithmetics:
-            cases = [(near, lambda x, y, tag=tag: rule_(x, y, p, tag)) for tag in (M, MM, MT)]
-            cases.append((far, lambda x, y: far_(x, y, p)))
-            for z, f in cases:
-                a = words(f(-z.real, z.imag.copy()))
-                b = words(f(z.real.copy(), z.imag.copy()))
+        for p, rule_, words in arithmetics:
+            for tag in core.BranchTag:
+                z = far if tag is FAR else near
+                a = words(rule_(-z.real, z.imag.copy(), p, tag))
+                b = words(rule_(z.real.copy(), z.imag.copy(), p, tag))
                 half = len(b) // 2
                 conj_b = b[:half] + tuple(-v for v in b[half:])
                 assert [_bits(v) for v in a] == [_bits(v) for v in conj_b], (p.n, z)
@@ -201,9 +201,31 @@ class TestSelectBranch:
         # same x as an MT point but y >= x disables MT
         assert self.branch(3.2 + 4j) is core.BranchTag.MM
 
+    def test_far(self):
+        # the far field is a part of the partition that select_branch reports
+        for z in (1e25 + 1j, complex(-np.inf, 1.0), 1e20j, complex(1.0, np.inf)):
+            assert self.branch(z) is FAR
+        assert self.branch(1j * np.nextafter(1e20, 0)) is M
+        assert self.branch(np.nextafter(1e20, 0) + 1j) is MM
+
     def test_domain(self):
         with pytest.raises(DomainError):
             core.select_branch(1 - 1e-300j, 11)
+
+
+def test_branch_masks_partition():
+    # exactly one of M, MT, MM, FAR at every point, over the whole binary64
+    # range of |x| and y, and FAR exactly at and above the cut
+    v = np.array([
+        0.0, 5e-324, 2e-308, 0.3, P11.h / 2, 1.0, 3.2, np.pi / P11.h, 1e10,
+        np.nextafter(1e20, 0), 1e20, np.nextafter(1e20, np.inf), 1e300, 1.7e308, np.inf,
+    ])
+    x, y = (a.ravel() for a in np.meshgrid(v, v))
+    for n in (0, core.DEFAULT_N, oracle.ORACLE_N, core.N_MAX):
+        masks = core._branch_masks(x, y, core._params(n))
+        assert len(masks) == len(core.BranchTag)
+        assert np.all(np.sum(masks, axis=0) == 1)
+        assert np.array_equal(masks[-1], np.maximum(x, y) >= 1e20)
 
 
 class TestQuadrant1:
@@ -229,7 +251,7 @@ class TestQuadrant1:
         # +-t_k for M and MM, 0 and +-tau_k for MT
         rng = np.random.default_rng(0)
         z = rng.uniform(0, 10, 2000) + 1j * rng.uniform(0, 10, 2000)
-        _, mt, _ = core._branch_masks(z.real, z.imag, P11)
+        _, mt, _, _ = core._branch_masks(z.real, z.imag, P11)
         t = (np.arange(P11.n + 1) + 0.5) * P11.h
         tau = np.arange(1, P11.n + 1) * P11.h
         d_mid = np.min(np.abs(z[:, None] - np.concatenate((t, -t))), axis=1)
@@ -386,6 +408,18 @@ class TestDerived:
         # w(-i inf): e^{-z^2} has an infinite modulus and no phase
         with pytest.raises(DomainError):
             core.erfcx_c(-np.inf, 11)
+
+    def test_imag_axis(self):
+        # erfc(iy) = 1 - i erfi(y) has real part 1 also where erfi(y)
+        # overflows and e^{-z^2} w(iz) is inf * 0
+        z = np.array([3j, 26j, 27j, 30j, 1e10j, complex(-0.0, -30.0), -3j])
+        got = core.erfc_c(z, 11)
+        assert np.all(got.real == 1.0)
+        assert np.array_equal(got.imag[[2, 3, 4]], [-np.inf] * 3)
+        assert got.imag[5] == np.inf
+        assert core.erfc_c(30j, 11) == complex(1.0, -np.inf)
+        assert core.erf_c(30j, 11) == complex(0.0, np.inf)
+        assert core.erf_c(-30j, 11) == complex(0.0, -np.inf)
 
     def test_erfcx_examples(self):
         assert core.erfcx_c(0j, 11) == 1.0 + 0j

@@ -158,7 +158,7 @@ class TestCorrectionSkip:
         for n in (core.DEFAULT_N, ORACLE_N):
             p = core._params(n)
             x, y = self.below_cut(p)
-            _, mt, mm = core._branch_masks(x, y, p)
+            _, mt, mm, _ = core._branch_masks(x, y, p)
             sq = oracle._z2_dd(x, y)
             for tag, sel in ((BranchTag.MT, mt), (BranchTag.MM, mm)):
                 idx = np.flatnonzero(sel)

@@ -1,6 +1,7 @@
-"""The README's examples run: its Python quick start executes, and every
-``faddeeva ...`` command line parses (parsed only: the full-grid sweeps
-take minutes)."""
+"""The README's examples run: its Python quick start executes, its
+``faddeeva eval`` and ``faddeeva bounds`` lines run to exit 0, and every
+other ``faddeeva ...`` command line parses (``sweep``, ``table`` and
+``bench`` are parsed only: on the full grid they take minutes)."""
 
 import re
 import shlex
@@ -45,3 +46,12 @@ def test_command_line_parses(line):
         cli.build_parser().parse_args(shlex.split(line)[1:])
     except SystemExit as exc:
         pytest.fail(f"README line does not parse ({exc.code}): {line}")
+
+
+#: subcommands whose README lines are fast enough to run as written
+RUN = ("eval", "bounds")
+
+
+@pytest.mark.parametrize("line", [c for c in command_lines() if shlex.split(c)[1] in RUN])
+def test_command_line_runs(line):
+    assert cli.main(shlex.split(line)[1:]) == 0, line
