@@ -17,7 +17,6 @@ import logging
 import math
 import re
 import time
-import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
@@ -72,13 +71,6 @@ class GridSpec:
     def __post_init__(self):
         if self.kind not in ("polar", "cartesian"):
             raise ParameterError(f"unknown grid kind {self.kind!r}")
-
-    @property
-    def count(self) -> int:
-        if self.kind == "polar":
-            return self._p_count() * self.theta_count
-        n = self._axis_count()
-        return n * n
 
     def _p_count(self) -> int:
         if self.p_step <= 0.0:
@@ -294,7 +286,7 @@ def parse_method(spec_str: str):
         n = int(args[0]) if args else core.DEFAULT_N
         return (
             f"trap({n})",
-            lambda z: np.atleast_1d(core.w_plane(z, n)),
+            functools.partial(core.w_plane, n=n),
             lambda z: np.ones(z.shape, dtype=bool),
         )
     if name == "weideman":
@@ -304,7 +296,7 @@ def parse_method(spec_str: str):
         model = default_weideman_model(n)
         return (
             f"weideman({n})",
-            lambda z: np.atleast_1d(weideman_eval(z, model)),
+            functools.partial(weideman_eval, m=model),
             lambda z: z.imag >= 0.0,
         )
     if name == "cf":
@@ -313,7 +305,7 @@ def parse_method(spec_str: str):
         n = int(args[0]) if args else 9
         return (
             f"cf({n})",
-            lambda z: np.atleast_1d(cf_convergent(z, n)),
+            functools.partial(cf_convergent, n=n),
             lambda z: np.abs(z) >= 8.0,
         )
     if name == "zaghloul":
@@ -324,7 +316,7 @@ def parse_method(spec_str: str):
         p = ZaghloulParams(a=a, terms=k)
         return (
             f"zaghloul({a:g},{k})",
-            lambda z: np.atleast_1d(zaghloul_eval(z, p)),
+            functools.partial(zaghloul_eval, p=p),
             lambda z: (z.real >= 0.0) & (z.imag >= 0.0),
         )
     raise ParameterError(f"unknown method {name!r}")
@@ -340,7 +332,7 @@ def accuracy_table(methods, grid: GridSpec = GridSpec()) -> list[TableRecord]:
     and Im(z) >= 0.  Raises ParameterError if a method's rated domain holds
     no grid point.
     """
-    parsed = [parse_method(s) if isinstance(s, str) else s for s in methods]
+    parsed = [parse_method(s) for s in methods]
     z = gen_grid(grid)
 
     pairs = []
@@ -364,7 +356,7 @@ def timing_run(method, grid: GridSpec = GridSpec(), reps: int = 25) -> TimingRec
     """
     if reps < 3:
         raise ParameterError("reps must be >= 3")
-    label, fn, _mask = parse_method(method) if isinstance(method, str) else method
+    label, fn, _mask = parse_method(method)
     z = gen_grid(grid)
     fn(z)  # warm-up
     times = []
@@ -410,26 +402,16 @@ def render(records, fmt: str) -> str:
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        header_done = False
-        for rec in records:
+        for i, rec in enumerate(records):
             pairs = _flatten(rec)
-            if not header_done:
+            if not i:
                 writer.writerow([k for k, _ in pairs])
-                header_done = True
             writer.writerow([_fmt(v) for _, v in pairs])
-        if not header_done:
-            writer.writerow(_sweep_header())
         return buf.getvalue()
     if fmt == "json":
         rows = [dict(_flatten(rec)) for rec in records]
         return json.dumps(rows, indent=2, sort_keys=False) + "\n"
     raise ParameterError(f"unknown format {fmt!r}")
-
-
-def _sweep_header():
-    """CSV header of an empty sweep: the columns of a blank SweepRecord."""
-    types = typing.get_type_hints(SweepRecord)
-    return [k for k, _ in _flatten(SweepRecord(**{k: t() for k, t in types.items()}))]
 
 
 def emit(records, fmt: str, path) -> None:

@@ -323,11 +323,6 @@ class DDComplex:
     def zeros(cls, shape):
         return cls(DD(np.zeros(shape)), DD(np.zeros(shape)))
 
-    @classmethod
-    def from_complex(cls, z):
-        z = np.asarray(z, dtype=np.complex128)
-        return cls(DD(z.real.copy()), DD(z.imag.copy()))
-
     def __getitem__(self, idx):
         return DDComplex(self.re[idx], self.im[idx])
 

@@ -86,7 +86,7 @@ def weideman_fit_coeffs(n: int, oracle=None) -> WeidemanModel:
     Samples ``g(Z) = (L-iz)^2 (w(z) - 1/(sqrt(pi)(L-iz)))/2`` at 2n
     equispaced points on the unit circle (equivalently z = L*tan(theta/2)
     real), takes discrete Fourier coefficients, and keeps their real parts.
-    ``oracle`` maps a real array to extended-precision w values; defaults to
+    ``oracle`` maps a real array to its w values as a DDComplex; defaults to
     the order-20 double-double evaluator.
     """
     if n < 8:
@@ -100,8 +100,6 @@ def weideman_fit_coeffs(n: int, oracle=None) -> WeidemanModel:
     zs = ell * np.tan(0.5 * theta)
 
     wv = oracle(zs)
-    if not isinstance(wv, DDComplex):
-        wv = DDComplex.from_complex(np.asarray(wv, dtype=np.complex128))
 
     # g = d^2 * (w - 1/(sqrt(pi) d)) / 2 with d = L - iz, in double-double to
     # absorb the cancellation between w and its leading term at large |z|.

@@ -31,9 +31,7 @@ SMALL = GridSpec(p_min=-3.0, p_max=3.0, p_step=0.05, theta_count=41)
 
 class TestGrids:
     def test_polar_default_count(self):
-        spec = GridSpec()
-        assert spec.count == 1_602_801
-        z = gen_polar_grid(spec)
+        z = gen_polar_grid(GridSpec())
         assert z.size == 1_602_801
 
     def test_polar_corners_and_quadrant(self):
@@ -44,8 +42,7 @@ class TestGrids:
         assert z[-1].imag == pytest.approx(1e6, rel=1e-12)
 
     def test_cartesian_default_count(self):
-        spec = GridSpec(kind="cartesian")
-        assert spec.count == 16_008_001
+        assert GridSpec(kind="cartesian")._axis_count() ** 2 == 16_008_001
 
     def test_cartesian_corners(self):
         spec = GridSpec(kind="cartesian", x_max=1.0, step=0.5)
@@ -58,7 +55,7 @@ class TestGrids:
         with pytest.raises(ParameterError):
             gen_polar_grid(GridSpec(p_step=0.0))
         with pytest.raises(ParameterError):
-            GridSpec(kind="cartesian", step=-1.0).count
+            gen_cart_grid(GridSpec(kind="cartesian", step=-1.0))
 
     def test_kind_mismatch(self):
         with pytest.raises(ParameterError):
@@ -205,12 +202,6 @@ class TestEmit:
         # 17-significant-digit round trip
         vals = lines[1].split(",")
         assert float(vals[1]) == recs[0].max_abs_err
-
-    def test_empty_records_header_only(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        emit([], "csv", path)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("n,max_abs_err")
 
     def test_byte_determinism(self, tmp_path):
         recs = error_sweep([5, 11], SMALL)

@@ -71,10 +71,18 @@ class TestErfcOracle:
         assert err < q.hi * 1e-25
 
     def test_reflection_28_digits(self):
+        # erfc_oracle(-0.8) is computed as 2 - erfc(0.8) by the fold that it
+        # shares with erfc, so this checks the fold identity to 28 digits
         a = erfc_oracle(0.8 + 0j)
         b = erfc_oracle(-0.8 + 0j)
         s = a.re + b.re  # double-double addition
         assert abs((s.hi - 2.0) + s.lo) < 1e-28
+
+    def test_fold_far_left_is_two(self):
+        # beyond Re z = -26.7, where e^{-z^2} w(iz) would overflow to NaN,
+        # the fold gives 2 - erfc(-z) = 2, as erfc does
+        for z in (-27.0, -30 + 1j, -1e10 + 0.5j, complex(-np.inf, 1.0)):
+            assert erfc_oracle(z).to_complex() == 2, z
 
     def test_infinite_real_part(self):
         # the limits 0 and 2, as erfc gives them

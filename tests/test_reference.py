@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from faddeeva import core
+from faddeeva.ddouble import DD, DDComplex
 from faddeeva.errors import ConstructionError, DomainError
 from faddeeva.oracle import w_oracle
 from faddeeva.reference import (
@@ -104,7 +105,9 @@ class TestWeideman:
 
     def test_bad_oracle_raises_construction_error(self):
         with pytest.raises(ConstructionError):
-            weideman_fit_coeffs(40, oracle=lambda z: np.ones_like(z) * (1 + 0.5j))
+            weideman_fit_coeffs(
+                40, oracle=lambda z: DDComplex(DD(np.ones_like(z)), DD(np.full_like(z, 0.5)))
+            )
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
