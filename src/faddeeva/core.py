@@ -450,8 +450,13 @@ def erfc_c(z, n: int = DEFAULT_N):
     zf = z.reshape(-1)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         out = _erfc(zf, _exp_neg_z2, lambda v: w_plane(v, n))
-    # erfc(iy) = 1 - i erfi(y), where e^{-z^2} w(iz) can be inf * 0
-    out.real[zf.real == 0] = 1.0
+    # erfc(iy) = 1 - i erfi(y), where e^{-z^2} w(iz) can be inf * 0, and
+    # erfi(+-inf) = +-inf
+    axis = np.flatnonzero(zf.real == 0)
+    out.real[axis] = 1.0
+    y = zf.imag[axis]
+    inf = np.isinf(y)
+    out.imag[axis[inf]] = -y[inf]
     return _scalar_out(out.reshape(z.shape), z.ndim == 0)
 
 

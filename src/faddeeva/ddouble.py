@@ -101,19 +101,12 @@ class DD:
 
     # -- basic structure ------------------------------------------------
 
-    def to_float(self):
-        out = self.hi + self.lo
-        return float(out) if out.ndim == 0 else out
-
     def __getitem__(self, idx):
         return DD(self.hi[idx], self.lo[idx])
 
     def __setitem__(self, idx, value):
         self.hi[idx] = value.hi
         self.lo[idx] = value.lo
-
-    def copy(self):
-        return DD(self.hi.copy(), self.lo.copy())
 
     def __repr__(self):
         return f"DD({self.hi!r}, {self.lo!r})"
@@ -174,17 +167,13 @@ class DD:
 
 
 def dd_sqrt(a: DD) -> DD:
-    """Square root, one double-double Newton step from the binary64 root."""
-    hi = a.hi
-    if np.any(hi < 0):
+    """Square root of a > 0, one double-double Newton step from the binary64
+    root."""
+    if np.any(a.hi < 0):
         raise EvaluationError("double-double sqrt of negative value")
-    zero = hi == 0.0
-    safe = np.where(zero, 1.0, hi)
-    x0 = np.sqrt(safe)
-    x0sq = DD(*_two_prod(x0, x0))
-    r = (DD(np.where(zero, 1.0, a.hi), np.where(zero, 0.0, a.lo)) - x0sq) * (0.5 / x0)
-    res = DD(x0) + r
-    return DD(np.where(zero, 0.0, res.hi), np.where(zero, 0.0, res.lo))
+    x0 = np.sqrt(a.hi)
+    r = (a - DD(*_two_prod(x0, x0))) * (0.5 / x0)
+    return DD(x0) + r
 
 
 #: 1/j!, j = 0..17
@@ -364,9 +353,6 @@ class DDComplex:
 
     def abs2(self) -> DD:
         return self.re * self.re + self.im * self.im
-
-    def abs(self) -> DD:
-        return dd_sqrt(self.abs2())
 
     def __truediv__(self, other: DDComplex):
         d = other.abs2()

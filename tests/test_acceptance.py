@@ -2,7 +2,9 @@
 
 Criterion 7 (oracle certification) runs first; everything downstream trusts
 the order-20 double-double oracle only after it has been certified against
-the independent quadrature oracle.
+the independent quadrature oracle (`certification.py`). Criterion 1 sweeps
+both of the paper's test sets: the full polar grid and every 64th point of
+the cartesian grid.
 """
 
 import math
@@ -12,8 +14,9 @@ import pytest
 
 from faddeeva import bench, core
 from faddeeva.bounds import abs_bound, constants, rel_bound
-from faddeeva.oracle import ORACLE_N, w_oracle, w_quadrature, w_ref
+from faddeeva.oracle import ORACLE_N, w_oracle, w_ref
 
+from certification import w_quadrature
 from conftest import ACCEPTANCE_RESULTS
 
 
@@ -93,6 +96,21 @@ class TestCriterion1DefaultOrderAccuracy:
             a < 2e-15 and r < 2e-15,
             "criterion 1 (N=11 accuracy, full polar grid)",
             f"max abs {a:.3e} < 2e-15; max rel {r:.3e} < 2e-15",
+        )
+
+    def test_n11_cartesian_subsample(self):
+        # the paper's second test set, the 4001^2 cartesian grid, 1 point in
+        # 64 in gen_cart_grid's order (x outer, y inner), built from the axis
+        # so that the 256 MB grid is never formed
+        spec = bench.GridSpec(kind="cartesian")
+        axis = spec.x_min + spec.step * np.arange(spec._axis_count())
+        k = np.arange(0, axis.size ** 2, 64)
+        z = axis[k // axis.size] + 1j * axis[k % axis.size]
+        [(a, ai, r, ri)] = bench._max_errors(z, [(lambda v: core.w_plane(v, 11), None)])
+        record(
+            a < 2e-15 and r < 2e-15,
+            f"criterion 1 (N=11 accuracy, cartesian grid 1-in-64, {z.size:,} pts)",
+            f"max abs {a:.3e} at {ai:.4g} < 2e-15; max rel {r:.3e} at {ri:.4g} < 2e-15",
         )
 
 

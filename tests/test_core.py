@@ -411,15 +411,19 @@ class TestDerived:
 
     def test_imag_axis(self):
         # erfc(iy) = 1 - i erfi(y) has real part 1 also where erfi(y)
-        # overflows and e^{-z^2} w(iz) is inf * 0
-        z = np.array([3j, 26j, 27j, 30j, 1e10j, complex(-0.0, -30.0), -3j])
+        # overflows and e^{-z^2} w(iz) is inf * 0, and erfi(+-inf) = +-inf
+        z = np.array([
+            3j, 26j, 27j, 30j, 1e10j, complex(-0.0, -30.0), -3j,
+            complex(0.0, np.inf), complex(-0.0, np.inf),
+            complex(0.0, -np.inf), complex(-0.0, -np.inf),
+        ])
         got = core.erfc_c(z, 11)
         assert np.all(got.real == 1.0)
-        assert np.array_equal(got.imag[[2, 3, 4]], [-np.inf] * 3)
-        assert got.imag[5] == np.inf
-        assert core.erfc_c(30j, 11) == complex(1.0, -np.inf)
-        assert core.erf_c(30j, 11) == complex(0.0, np.inf)
-        assert core.erf_c(-30j, 11) == complex(0.0, -np.inf)
+        assert np.array_equal(got.imag[[2, 3, 4, 7, 8]], [-np.inf] * 5)
+        assert np.array_equal(got.imag[[5, 9, 10]], [np.inf] * 3)
+        for zs in (30j, -30j, *z[7:]):
+            assert core.erfc_c(zs, 11) == complex(1.0, -np.sign(zs.imag) * np.inf), zs
+            assert core.erf_c(zs, 11) == complex(0.0, np.sign(zs.imag) * np.inf), zs
 
     def test_erfcx_examples(self):
         assert core.erfcx_c(0j, 11) == 1.0 + 0j

@@ -1,14 +1,17 @@
 """The README's examples run: its Python quick start executes, its
 ``faddeeva eval`` and ``faddeeva bounds`` lines run to exit 0, and every
 other ``faddeeva ...`` command line parses (``sweep``, ``table`` and
-``bench`` are parsed only: on the full grid they take minutes)."""
+``bench`` are parsed only: on the full grid they take minutes). The
+package docstring's example passes as a doctest."""
 
+import doctest
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+import faddeeva
 from faddeeva import cli
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -55,3 +58,8 @@ RUN = ("eval", "bounds")
 @pytest.mark.parametrize("line", [c for c in command_lines() if shlex.split(c)[1] in RUN])
 def test_command_line_runs(line):
     assert cli.main(shlex.split(line)[1:]) == 0, line
+
+
+def test_package_docstring_examples():
+    result = doctest.testmod(faddeeva)
+    assert result.attempted >= 1 and result.failed == 0, result
