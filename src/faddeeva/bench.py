@@ -3,8 +3,8 @@
 The default grids reproduce the two standard test sets: a first-quadrant
 polar grid of 2001 x 801 = 1,602,801 points ``z = 10^p e^{i theta}`` and a
 cartesian grid of 4001^2 = 16,008,001 points with ``x, y in [0, 10]``.
-Error sweeps compare an evaluator against the extended-precision oracle and
-attach the theoretical error envelopes for each order.
+Error sweeps compare each order, in the arithmetic it picks, against the
+extended-precision oracle and attach its theoretical error envelopes.
 """
 
 from __future__ import annotations
@@ -44,6 +44,10 @@ log = logging.getLogger(__name__)
 
 _CHUNK = 65536
 
+#: error_sweep's highest binary64 order: abs_bound(12) = 2.8e-17 lies below
+#: the unit roundoff 2^-53, so only double-double shows higher orders' error
+BINARY64_MAX_N = 11
+
 
 # ---------------------------------------------------------------------------
 # Grids
@@ -73,13 +77,13 @@ class GridSpec:
             raise ParameterError(f"unknown grid kind {self.kind!r}")
 
     def _p_count(self) -> int:
-        if self.p_step <= 0.0:
-            raise ParameterError("p_step must be positive")
+        if self.p_step <= 0.0 or self.p_max < self.p_min:
+            raise ParameterError("need p_step > 0 and p_max >= p_min")
         return int(round((self.p_max - self.p_min) / self.p_step)) + 1
 
     def _axis_count(self) -> int:
-        if self.step <= 0.0:
-            raise ParameterError("step must be positive")
+        if self.step <= 0.0 or self.x_max < self.x_min:
+            raise ParameterError("need step > 0 and x_max >= x_min")
         return int(round((self.x_max - self.x_min) / self.step)) + 1
 
     @property
@@ -232,14 +236,12 @@ def _max_errors(z, pairs, workers=None):
 def error_sweep(
     n_values,
     grid: GridSpec = GridSpec(),
-    precision: str = "binary64",
     workers: int | None = None,
 ) -> list[SweepRecord]:
     """Max abs/rel error of the order-n evaluator vs the oracle, per n.
 
-    ``precision="xprec"`` evaluates in double-double and is required for any
-    n >= 12 (the binary64 arithmetic floor hides the true error there).
-    xprec runs use every 16th grid point, binary64 runs the full grid.
+    Orders up to BINARY64_MAX_N = 11 run `core.w_plane` on every grid point,
+    higher orders `oracle.w_ref` in double-double on every 16th point.
     Points where the oracle is not finite are excluded (and logged);
     relative errors count only where the oracle is nonzero and Im(z) >= 0.
     Parallel and serial runs produce identical records.
@@ -247,21 +249,15 @@ def error_sweep(
     n_values = list(n_values)
     if not n_values:
         raise ParameterError("n_values must be non-empty")
-    if precision not in ("binary64", "xprec"):
-        raise ParameterError(f"unknown precision {precision!r}")
-    if precision == "binary64" and max(n_values) >= 12:
-        raise ParameterError("orders >= 12 require precision='xprec'")
-
     z = gen_grid(grid)
-    if precision == "xprec":
-        z = z[::16]
-
-    evaluate = w_ref if precision == "xprec" else core.w_plane
-    maxima = _max_errors(z, [(functools.partial(evaluate, n=n), None) for n in n_values], workers)
-    return [
-        SweepRecord(n, a, r, abs_bound(n), rel_bound(n), ai, ri)
-        for n, (a, ai, r, ri) in zip(n_values, maxima)
-    ]
+    records = {}
+    for binary64, evaluate, zs in ((True, core.w_plane, z), (False, w_ref, z[::16])):
+        ns = [n for n in n_values if (n <= BINARY64_MAX_N) == binary64]
+        if ns:
+            pairs = [(functools.partial(evaluate, n=n), None) for n in ns]
+            for n, (a, ai, r, ri) in zip(ns, _max_errors(zs, pairs, workers)):
+                records[n] = SweepRecord(n, a, r, abs_bound(n), rel_bound(n), ai, ri)
+    return [records[n] for n in n_values]
 
 
 # ---------------------------------------------------------------------------
@@ -414,9 +410,9 @@ def render(records, fmt: str) -> str:
     raise ParameterError(f"unknown format {fmt!r}")
 
 
-def emit(records, fmt: str, path) -> None:
-    """Write records to ``path`` as CSV or JSON."""
-    text = render(list(records), fmt)
+def emit(records, path) -> None:
+    """Write records to ``path``: JSON if its name ends in ".json", else CSV."""
+    text = render(list(records), "json" if str(path).endswith(".json") else "csv")
     try:
         with open(path, "w", newline="") as fh:
             fh.write(text)

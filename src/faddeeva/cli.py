@@ -26,13 +26,19 @@ _TABLE_THRESHOLDS = {
 }
 
 
+#: the grid kind that reads each grid flag
+_GRID_FLAGS = {
+    **dict.fromkeys(("p_min", "p_max", "p_step", "theta_count"), "polar"),
+    **dict.fromkeys(("x_min", "x_max", "step"), "cartesian"),
+}
+
+
 def _grid_from_args(args) -> bench.GridSpec:
-    kw = {"kind": getattr(args, "grid", "polar")}
-    for name in ("p_min", "p_max", "p_step", "theta_count", "x_min", "x_max", "step"):
-        v = getattr(args, name, None)
-        if v is not None:
-            kw[name] = v
-    return bench.GridSpec(**kw)
+    kw = {k: getattr(args, k) for k in _GRID_FLAGS if getattr(args, k) is not None}
+    for k in kw:
+        if _GRID_FLAGS[k] != args.grid:
+            raise ParameterError(f"--{k.replace('_', '-')} is a {_GRID_FLAGS[k]} grid flag")
+    return bench.GridSpec(kind=args.grid, **kw)
 
 
 def _add_grid_options(p):
@@ -45,10 +51,6 @@ def _add_grid_options(p):
     g.add_argument("--x-min", type=float, dest="x_min")
     g.add_argument("--x-max", type=float, dest="x_max")
     g.add_argument("--step", type=float, dest="step")
-
-
-def _fmt_for(path: str) -> str:
-    return "json" if str(path).endswith(".json") else "csv"
 
 
 def cmd_eval(args) -> int:
@@ -76,28 +78,22 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.n_min < 0 or args.n_max < args.n_min:
-        raise ParameterError("need 0 <= n-min <= n-max")
-    precision = {"d": "binary64", "x": "xprec"}[args.precision]
+    if not 0 <= args.n_min <= args.n_max <= core.N_MAX:
+        raise ParameterError(f"need 0 <= n-min <= n-max <= {core.N_MAX}")
     grid = _grid_from_args(args)
-    records = bench.error_sweep(
-        range(args.n_min, args.n_max + 1), grid, precision=precision, workers=args.workers
-    )
-    bench.emit(records, _fmt_for(args.out), args.out)
+    records = bench.error_sweep(range(args.n_min, args.n_max + 1), grid, workers=args.workers)
+    bench.emit(records, args.out)
     print(f"wrote {len(records)} sweep records to {args.out}")
-    if args.check:
-        floor = _CHECK_FLOOR_B64 if precision == "binary64" else _CHECK_FLOOR_DD
-        bad = [
-            r
-            for r in records
-            if r.max_abs_err > r.bound_abs + floor or r.max_rel_err > r.bound_rel + floor
-        ]
-        if bad:
-            for r in bad:
-                print(f"FAIL n={r.n}: abs {r.max_abs_err:.3e} vs {r.bound_abs:.3e}, "
-                      f"rel {r.max_rel_err:.3e} vs {r.bound_rel:.3e}", file=sys.stderr)
-            return 3
-    return 0
+    if not args.check:
+        return 0
+    rc = 0
+    for r in records:
+        floor = _CHECK_FLOOR_B64 if r.n <= bench.BINARY64_MAX_N else _CHECK_FLOOR_DD
+        if r.max_abs_err > r.bound_abs + floor or r.max_rel_err > r.bound_rel + floor:
+            print(f"FAIL n={r.n}: abs {r.max_abs_err:.3e} vs {r.bound_abs:.3e}, "
+                  f"rel {r.max_rel_err:.3e} vs {r.bound_rel:.3e}", file=sys.stderr)
+            rc = 3
+    return rc
 
 
 def _methods(args) -> list[str]:
@@ -110,7 +106,7 @@ def _methods(args) -> list[str]:
 def cmd_table(args) -> int:
     grid = _grid_from_args(args)
     rows = bench.accuracy_table(_methods(args), grid)
-    bench.emit(rows, _fmt_for(args.out), args.out)
+    bench.emit(rows, args.out)
     print(f"wrote {len(rows)} table rows to {args.out}")
     if args.check:
         rc = 0
@@ -130,7 +126,7 @@ def cmd_table(args) -> int:
 def cmd_bench(args) -> int:
     grid = _grid_from_args(args)
     records = [bench.timing_run(m, grid, reps=args.reps) for m in _methods(args)]
-    bench.emit(records, _fmt_for(args.out), args.out)
+    bench.emit(records, args.out)
     print(f"wrote {len(records)} timing records to {args.out}")
     return 0
 
@@ -169,7 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-min", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
     _add_grid_options(p)
-    p.add_argument("--precision", choices=["d", "x"], default="d")
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--check", action="store_true",

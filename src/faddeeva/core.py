@@ -461,9 +461,12 @@ def erfc_c(z, n: int = DEFAULT_N):
 
 
 def erf_c(z, n: int = DEFAULT_N):
-    """Error function erf(z) = 1 - erfc(z)."""
+    """Error function erf(z) = 1 - erfc(z).  On the imaginary axis erf(iy) =
+    i erfi(y) has the signed zero Re z as its real part, as erf is odd."""
+    z = _as_xy(z)
     res = np.asarray(1.0 - np.asarray(erfc_c(z, n)))
-    return _scalar_out(res, np.ndim(z) == 0)
+    np.copyto(res.real, z.real, where=z.real == 0)
+    return _scalar_out(res, z.ndim == 0)
 
 
 def erfcx_c(z, n: int = DEFAULT_N):

@@ -135,7 +135,7 @@ class TestCriterion2BoundSuite:
         ok = True
         detail = []
         # every 16th point of the polar grid
-        for rec in bench.error_sweep(range(12, 20), precision="xprec"):
+        for rec in bench.error_sweep(range(12, 20)):
             a, r, n = rec.max_abs_err, rec.max_rel_err, rec.n
             if not (a <= abs_bound(n) + floor and r <= rel_bound(n) + floor):
                 ok = False
@@ -266,8 +266,8 @@ class TestCriterion8Determinism:
         r2 = bench.error_sweep([5, 11], spec)
         r4 = bench.error_sweep([5, 11], spec, workers=4)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        bench.emit(r1, "csv", p1)
-        bench.emit(r2, "csv", p2)
+        bench.emit(r1, p1)
+        bench.emit(r2, p2)
         ok_bytes = p1.read_bytes() == p2.read_bytes()
         ok_par = r1 == r4
         record(

@@ -22,6 +22,7 @@ from faddeeva.bench import (
     render,
     timing_run,
 )
+from faddeeva.bounds import abs_bound
 from faddeeva.errors import ParameterError
 from faddeeva.oracle import w_oracle
 from faddeeva.reference import cf_convergent
@@ -57,6 +58,13 @@ class TestGrids:
         with pytest.raises(ParameterError):
             gen_cart_grid(GridSpec(kind="cartesian", step=-1.0))
 
+    def test_empty_range(self):
+        # a reversed range has no point to sweep
+        with pytest.raises(ParameterError, match="p_max"):
+            gen_polar_grid(GridSpec(p_min=3.0, p_max=-3.0))
+        with pytest.raises(ParameterError, match="x_max"):
+            gen_cart_grid(GridSpec(kind="cartesian", x_min=1.0, x_max=0.0))
+
     def test_kind_mismatch(self):
         with pytest.raises(ParameterError):
             gen_polar_grid(GridSpec(kind="cartesian"))
@@ -85,12 +93,14 @@ class TestErrorSweep:
         parallel = error_sweep([3, 11], SMALL, workers=4)
         assert serial == parallel
 
-    def test_xprec_required_above_11(self):
-        with pytest.raises(ParameterError):
-            error_sweep([12], SMALL, precision="binary64")
+    def test_mixed_range_equals_separate_calls(self):
+        # binary64 runs the orders whose error lies above its unit roundoff
+        assert abs_bound(bench.BINARY64_MAX_N) > 2.0**-53 > abs_bound(bench.BINARY64_MAX_N + 1)
+        mixed = error_sweep(range(9, 15), SMALL)
+        assert mixed == error_sweep(range(9, 12), SMALL) + error_sweep(range(12, 15), SMALL)
 
     def test_xprec_every_16th_point(self):
-        (rec,) = error_sweep([14], SMALL, precision="xprec")
+        (rec,) = error_sweep([14], SMALL)
         assert rec.max_abs_err <= rec.bound_abs + 1e-26
         assert rec.max_abs_err > 0.0
         assert rec.argmax_abs in bench.gen_grid(SMALL)[::16]
@@ -193,7 +203,7 @@ class TestEmit:
     def test_csv_schema(self, tmp_path):
         recs = error_sweep([11], SMALL)
         path = tmp_path / "sweep.csv"
-        emit(recs, "csv", path)
+        emit(recs, path)
         lines = path.read_text().splitlines()
         assert lines[0] == (
             "n,max_abs_err,max_rel_err,bound_abs,bound_rel,"
@@ -206,14 +216,14 @@ class TestEmit:
     def test_byte_determinism(self, tmp_path):
         recs = error_sweep([5, 11], SMALL)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit(recs, "csv", p1)
-        emit(recs, "csv", p2)
+        emit(recs, p1)
+        emit(recs, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_json_mirrors_fields(self, tmp_path):
         recs = error_sweep([11], SMALL)
         path = tmp_path / "sweep.json"
-        emit(recs, "json", path)
+        emit(recs, path)
         rows = json.loads(path.read_text())
         assert rows[0]["n"] == 11
         assert rows[0]["max_abs_err"] == recs[0].max_abs_err
@@ -228,7 +238,7 @@ class TestEmit:
 
     def test_io_failure_reports_path(self):
         with pytest.raises(OSError, match="no/such/dir"):
-            emit([], "csv", "/no/such/dir/out.csv")
+            emit([], "/no/such/dir/out.csv")
 
 
 def run_cli(*args):
@@ -311,13 +321,15 @@ class TestCli:
         assert r.returncode == 0, r.stderr
 
     def test_sweep_check_fails(self, tmp_path, monkeypatch, capsys):
-        # no record stays within its bound plus a negative floor
+        # no binary64 record stays within its bound plus a negative floor;
+        # the double-double order 12 is held to its own floor
         monkeypatch.setattr(cli, "_CHECK_FLOOR_B64", -1.0)
         out = tmp_path / "s.csv"
-        rc = cli.main(["sweep", "--n-min", "11", "--n-max", "11",
+        rc = cli.main(["sweep", "--n-min", "11", "--n-max", "12",
                        "--out", str(out), "--check", *self.SMALL_FLAGS])
         assert rc == 3
-        assert "FAIL n=11: abs " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "FAIL n=11: abs " in err and "n=12" not in err
         assert out.exists()
 
     def test_table_check_fails(self, tmp_path, monkeypatch, capsys):
@@ -349,5 +361,31 @@ class TestCli:
     def test_bad_params_exit_2(self, tmp_path):
         r = run_cli("sweep", "--n-min", "5", "--n-max", "3", "--out", str(tmp_path / "x.csv"))
         assert r.returncode == 2
+        # an order above N_MAX is refused before the binary64 orders' pass
+        r = run_cli("sweep", "--n-min", "0", "--n-max", "26", "--out", str(tmp_path / "x.csv"))
+        assert r.returncode == 2 and "n-max <= 25" in r.stderr
+
+    def test_empty_grid_exit_2(self, tmp_path, capsys):
+        # a reversed range is an error, not a record of max_abs_err = -inf
+        out = tmp_path / "s.csv"
+        rc = cli.main(["sweep", "--n-min", "11", "--n-max", "11", "--p-min", "3",
+                       "--p-max", "-3", "--out", str(out), "--check"])
+        assert rc == 2
+        assert "p_max >= p_min" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_grid_flag_of_other_kind_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        rc = cli.main(["sweep", "--n-min", "11", "--n-max", "11", "--p-step", "0.5",
+                       "--theta-count", "9", "--step", "0.1", "--out", str(out)])
+        assert rc == 2
+        assert "--step is a cartesian grid flag" in capsys.readouterr().err
+        assert not out.exists()
+        # a polar flag with the cartesian grid, checked without sweeping it
+        args = cli.build_parser().parse_args(
+            ["sweep", "--n-min", "11", "--n-max", "11", "--grid", "cartesian",
+             "--p-step", "0.5", "--out", str(out)])
+        with pytest.raises(ParameterError, match="--p-step is a polar grid flag"):
+            cli._grid_from_args(args)
 
 

@@ -424,6 +424,14 @@ class TestDerived:
         for zs in (30j, -30j, *z[7:]):
             assert core.erfc_c(zs, 11) == complex(1.0, -np.sign(zs.imag) * np.inf), zs
             assert core.erf_c(zs, 11) == complex(0.0, np.sign(zs.imag) * np.inf), zs
+        # erf(iy) = i erfi(y) keeps the signed zero Re z, as erf is odd
+        z = np.concatenate((z, [complex(-0.0, 3.0), -0.0, 0.0]))
+        re = core.erf_c(z, 11).real
+        assert np.all(re == 0.0)
+        assert np.array_equal(np.signbit(re), np.signbit(z.real))
+        for zs in z[-3:]:
+            assert np.signbit(core.erf_c(zs, 11).real) == np.signbit(zs.real), zs
+        assert abs(core.erf_c(complex(-0.0, 3.0), 11).imag - 1629.9946226015657) < 1e-12
 
     def test_erfcx_examples(self):
         assert core.erfcx_c(0j, 11) == 1.0 + 0j
