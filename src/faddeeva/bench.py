@@ -329,6 +329,8 @@ def accuracy_table(methods, grid: GridSpec = GridSpec()) -> list[TableRecord]:
     no grid point.
     """
     parsed = [parse_method(s) for s in methods]
+    if not parsed:
+        raise ParameterError("no methods given")
     z = gen_grid(grid)
 
     pairs = []
@@ -393,26 +395,19 @@ def _fmt(v):
     return str(v)
 
 
-def render(records, fmt: str) -> str:
-    """Render records to a CSV or JSON string (byte-deterministic)."""
-    if fmt == "csv":
+def emit(records, path) -> None:
+    """Write records to ``path`` byte-deterministically: JSON if its name
+    ends in ".json", else CSV."""
+    rows = [_flatten(rec) for rec in records]
+    if str(path).endswith(".json"):
+        text = json.dumps([dict(row) for row in rows], indent=2) + "\n"
+    else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        for i, rec in enumerate(records):
-            pairs = _flatten(rec)
-            if not i:
-                writer.writerow([k for k, _ in pairs])
-            writer.writerow([_fmt(v) for _, v in pairs])
-        return buf.getvalue()
-    if fmt == "json":
-        rows = [dict(_flatten(rec)) for rec in records]
-        return json.dumps(rows, indent=2, sort_keys=False) + "\n"
-    raise ParameterError(f"unknown format {fmt!r}")
-
-
-def emit(records, path) -> None:
-    """Write records to ``path``: JSON if its name ends in ".json", else CSV."""
-    text = render(list(records), "json" if str(path).endswith(".json") else "csv")
+        if rows:
+            writer.writerow([k for k, _ in rows[0]])
+        writer.writerows([_fmt(v) for _, v in row] for row in rows)
+        text = buf.getvalue()
     try:
         with open(path, "w", newline="") as fh:
             fh.write(text)

@@ -44,36 +44,24 @@ def _grid_from_args(args) -> bench.GridSpec:
 def _add_grid_options(p):
     p.add_argument("--grid", choices=["polar", "cartesian"], default="polar")
     g = p.add_argument_group("grid refinement (defaults reproduce the standard grids)")
-    g.add_argument("--p-min", type=float, dest="p_min")
-    g.add_argument("--p-max", type=float, dest="p_max")
-    g.add_argument("--p-step", type=float, dest="p_step")
-    g.add_argument("--theta-count", type=int, dest="theta_count")
-    g.add_argument("--x-min", type=float, dest="x_min")
-    g.add_argument("--x-max", type=float, dest="x_max")
-    g.add_argument("--step", type=float, dest="step")
+    for k in _GRID_FLAGS:  # each flag takes the type of its GridSpec default
+        g.add_argument("--" + k.replace("_", "-"), type=type(getattr(bench.GridSpec, k)))
 
 
 def cmd_eval(args) -> int:
+    label, fn, rated = bench.parse_method(args.method)
     z = complex(args.re, args.im)
-    n = args.n
-    if args.method == "trap":
-        if n is None:
-            n = core.DEFAULT_N
-        value = core.w_plane(z, n)
+    zs = np.atleast_1d(core._as_xy(z))  # a NaN component exits 2 before the rated check
+    if not rated(zs)[0]:
+        raise ParameterError(f"{label} is not rated at z = {z}")
+    value = fn(zs)[0]
+    print(f"w({z.real:g}{z.imag:+g}i) = {value.real:.17g} {value.imag:+.17g}i  [{label}]")
+    if fn.func is core.w_plane:  # trap(n) explains its point
+        n = fn.keywords["n"]
         tag = "reflection" if z.imag < 0 else core.select_branch(z, n).name
-        print(f"w({z.real:g}{z.imag:+g}i) = {value.real:.17g} {value.imag:+.17g}i")
         print(f"branch = {tag}")
         print(f"abs_bound = {bounds.abs_bound(n):.6g}")
         print(f"rel_bound = {bounds.rel_bound(n):.6g} (upper half-plane)")
-    else:
-        if args.method == "zaghloul" and n is not None:
-            raise ParameterError("zaghloul takes no --n")
-        spec = args.method if n is None else f"{args.method}({n})"
-        label, fn, mask = bench.parse_method(spec)
-        if not mask(np.atleast_1d(np.complex128(z)))[0]:
-            raise ParameterError(f"{label} is not rated at z = {z}")
-        value = fn(np.atleast_1d(np.complex128(z)))[0]
-        print(f"w({z.real:g}{z.imag:+g}i) = {value.real:.17g} {value.imag:+.17g}i  [{label}]")
     return 0
 
 
@@ -156,9 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
     p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-inf$")
     p.add_argument("--re", type=float, required=True)
     p.add_argument("--im", type=float, required=True)
-    p.add_argument("--n", type=int, default=None,
-                   help="order; by default each method's own")
-    p.add_argument("--method", choices=["trap", "weideman", "cf", "zaghloul"], default="trap")
+    p.add_argument("--method", default="trap",
+                   help="method spec as in table/bench, e.g. 'trap(5)' or 'cf(11)'")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="max-error sweep over a grid for a range of orders")

@@ -7,6 +7,8 @@ Three well-known alternatives to the quadrature-based evaluator in
 * a rational approximation in the Möbius variable ``(L+iz)/(L-iz)`` with
   coefficients fitted against the extended-precision oracle,
 * a trapezoidal-flavoured real/imaginary split with five auxiliary sums.
+
+Each raises DomainError for a NaN component, as `w` does.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ def cf_convergent(z, n: int = 9):
     """
     if n < 1:
         raise ValueError("convergent index must be >= 1")
-    z = np.asarray(z, dtype=np.complex128)
+    z = core._as_xy(z)
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
     r = z.copy()
@@ -138,7 +140,7 @@ def default_weideman_model(n: int = 40) -> WeidemanModel:
 
 def weideman_eval(z, m: WeidemanModel):
     """Evaluate the fitted rational model; valid for Im(z) >= 0."""
-    z = np.asarray(z, dtype=np.complex128)
+    z = core._as_xy(z)
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
     if np.any(z.imag < 0.0):
@@ -215,7 +217,7 @@ def _sums_vec(x, y, p: ZaghloulParams):
 
 def zaghloul_eval(z, p: ZaghloulParams = ZaghloulParams()):
     """Evaluate w(z) = u + iv from the real/imaginary split; first quadrant only."""
-    z = np.asarray(z, dtype=np.complex128)
+    z = core._as_xy(z)
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
     x = z.real.copy()

@@ -4,7 +4,8 @@ Criterion 7 (oracle certification) runs first; everything downstream trusts
 the order-20 double-double oracle only after it has been certified against
 the independent quadrature oracle (`certification.py`). Criterion 1 sweeps
 both of the paper's test sets: the full polar grid and every 64th point of
-the cartesian grid.
+the cartesian grid, and the whole cartesian grid under the opt-in ``slow``
+marker (``pytest -m slow``).
 """
 
 import math
@@ -110,6 +111,17 @@ class TestCriterion1DefaultOrderAccuracy:
         record(
             a < 2e-15 and r < 2e-15,
             f"criterion 1 (N=11 accuracy, cartesian grid 1-in-64, {z.size:,} pts)",
+            f"max abs {a:.3e} at {ai:.4g} < 2e-15; max rel {r:.3e} at {ri:.4g} < 2e-15",
+        )
+
+    @pytest.mark.slow
+    def test_n11_cartesian_full_grid(self):
+        # all 16,008,001 points: about 80 s and 300 MiB, so deselected by default
+        z = bench.gen_cart_grid(bench.GridSpec(kind="cartesian"))
+        [(a, ai, r, ri)] = bench._max_errors(z, [(lambda v: core.w_plane(v, 11), None)])
+        record(
+            a < 2e-15 and r < 2e-15,
+            f"criterion 1 (N=11 accuracy, full cartesian grid, {z.size:,} pts)",
             f"max abs {a:.3e} at {ai:.4g} < 2e-15; max rel {r:.3e} at {ri:.4g} < 2e-15",
         )
 

@@ -19,7 +19,6 @@ from faddeeva.bench import (
     gen_cart_grid,
     gen_polar_grid,
     parse_method,
-    render,
     timing_run,
 )
 from faddeeva.bounds import abs_bound
@@ -180,6 +179,12 @@ class TestAccuracyTable:
         with pytest.raises(ParameterError):
             accuracy_table(["cf(9)"], tiny)  # no |z| >= 8 points
 
+    def test_no_methods(self, monkeypatch):
+        # refused before the grid is built and the oracle runs over it
+        monkeypatch.setattr(bench, "gen_grid", lambda spec: pytest.fail("grid generated"))
+        with pytest.raises(ParameterError, match="no methods given"):
+            accuracy_table([], SMALL)
+
     def test_unknown_method(self):
         with pytest.raises(ParameterError):
             parse_method("chebyshev(5)")
@@ -232,10 +237,6 @@ class TestEmit:
             "argmax_abs_re", "argmax_abs_im", "argmax_rel_re", "argmax_rel_im",
         }
 
-    def test_unknown_format(self):
-        with pytest.raises(ParameterError):
-            render([], "xml")
-
     def test_io_failure_reports_path(self):
         with pytest.raises(OSError, match="no/such/dir"):
             emit([], "/no/such/dir/out.csv")
@@ -273,23 +274,36 @@ class TestCli:
             assert f"branch = {tag}" in r.stdout
 
     def test_eval_other_methods(self):
-        for method in ("weideman", "zaghloul"):
+        for method, label in (("weideman", "weideman(40)"), ("zaghloul", "zaghloul(0.5,38)")):
             r = run_cli("eval", "--re", "1", "--im", "1", "--method", method)
             assert r.returncode == 0, r.stderr
-            assert "0.304744205" in r.stdout
+            assert "0.304744205" in r.stdout and f"[{label}]" in r.stdout
+            assert "branch" not in r.stdout
 
     def test_eval_explicit_order(self):
-        # an explicit --n is used even where it equals w's default order
-        r = run_cli("eval", "--re", "10", "--im", "1", "--method", "cf", "--n", "11")
+        # the order is written in the method spec, as in table and bench
+        r = run_cli("eval", "--re", "10", "--im", "1", "--method", "cf(11)")
         assert r.returncode == 0, r.stderr
         want = complex(cf_convergent(np.array([10 + 1j]), 11)[0])
         assert f"{want.real:.17g} {want.imag:+.17g}i  [cf(11)]" in r.stdout
-        r = run_cli("eval", "--re", "1", "--im", "1", "--method", "zaghloul", "--n", "11")
-        assert r.returncode == 2
+        r = run_cli("eval", "--re", "1", "--im", "1", "--method", "trap(5)")
+        assert r.returncode == 0, r.stderr
+        want = complex(faddeeva.w(1 + 1j, 5))
+        assert f"{want.real:.17g} {want.imag:+.17g}i  [trap(5)]" in r.stdout
+        assert f"abs_bound = {abs_bound(5):.6g}" in r.stdout
+        r = run_cli("eval", "--re", "1", "--im", "1", "--method", "cf", "--n", "11")
+        assert r.returncode == 2 and "unrecognized arguments: --n" in r.stderr
 
     def test_eval_unrated(self):
         r = run_cli("eval", "--re", "1", "--im", "1", "--method", "cf")
         assert r.returncode == 2
+
+    @pytest.mark.parametrize("method", ["trap", "weideman", "cf", "zaghloul"])
+    def test_eval_nan_exit_2(self, method, capsys):
+        # a NaN component is refused alike by every method, before its rated check
+        for re_, im in (("nan", "20"), ("20", "nan")):
+            assert cli.main(["eval", "--re", re_, "--im", im, "--method", method]) == 2
+            assert "NaN component" in capsys.readouterr().err
 
     def test_bounds(self):
         r = run_cli("bounds", "--n", "11")

@@ -174,3 +174,11 @@ class TestCrossAgreement:
         m = default_weideman_model(40)
         for vals in (cf_convergent(z, 9), weideman_eval(z, m), zaghloul_eval(z)):
             assert np.max(np.abs(vals - wc) / np.abs(wc)) < 1e-12
+
+    @pytest.mark.parametrize("z", [complex(np.nan, 1.0), complex(20.0, np.nan), [1j, np.nan]])
+    def test_nan_component_raises_domain_error(self, z):
+        # NaN is refused as w refuses it, not evaluated to NaN or to a breakdown
+        m = default_weideman_model(40)
+        for evaluate in (cf_convergent, lambda v: weideman_eval(v, m), zaghloul_eval):
+            with pytest.raises(DomainError, match="NaN component"):
+                evaluate(z)
