@@ -27,6 +27,8 @@ from .bounds import abs_bound, rel_bound
 from .ddouble import DD, DDComplex
 from .errors import ParameterError
 from .oracle import w_oracle, w_ref
+from .reference import (ZaghloulParams, cf_convergent, default_weideman_model, weideman_eval,
+                        zaghloul_eval)
 
 __all__ = [
     "GridSpec",
@@ -249,6 +251,8 @@ def error_sweep(
     n_values = list(n_values)
     if not n_values:
         raise ParameterError("n_values must be non-empty")
+    for n in n_values:  # every order is checked before the grid is built
+        core._params(n)
     z = gen_grid(grid)
     records = {}
     for binary64, evaluate, zs in ((True, core.w_plane, z), (False, w_ref, z[::16])):
@@ -266,56 +270,42 @@ def error_sweep(
 
 _METHOD_RE = re.compile(r"^\s*([a-z]+)\s*(?:\(([^)]*)\))?\s*$")
 
+#: name -> (default arguments, whose types parse a spec's, evaluator factory, rated domain)
+_METHODS = {
+    "trap": ((core.DEFAULT_N,),
+             lambda n: functools.partial(core.w_plane, n=n),
+             lambda z: np.ones(z.shape, dtype=bool)),
+    "weideman": ((40,),
+                 lambda n: functools.partial(weideman_eval, m=default_weideman_model(n)),
+                 lambda z: z.imag >= 0.0),
+    "cf": ((9,),
+           lambda n: functools.partial(cf_convergent, n=n),
+           lambda z: np.abs(z) >= 8.0),
+    "zaghloul": ((0.5, 38),
+                 lambda a, k: functools.partial(zaghloul_eval, p=ZaghloulParams(a=a, terms=k)),
+                 lambda z: (z.real >= 0.0) & (z.imag >= 0.0)),
+}
+
 
 def parse_method(spec_str: str):
-    """Parse "name(args)" into (label, evaluator, rated-domain mask function).
-
-    Known names: trap(N), weideman(N), cf(n), zaghloul(a,K).
-    """
+    """Parse "trap(N)", "weideman(N)", "cf(n)" or "zaghloul(a,K)" into (label,
+    evaluator, rated-domain mask function); omitted trailing arguments take
+    their defaults in _METHODS."""
     m = _METHOD_RE.match(spec_str)
-    if not m:
-        raise ParameterError(f"cannot parse method spec {spec_str!r}")
-    name, args = m.group(1), m.group(2)
+    if not m or m.group(1) not in _METHODS:
+        raise ParameterError(f"unknown method spec {spec_str!r}; known: {', '.join(_METHODS)}")
+    name, args = m.groups()
+    defaults, factory, rated = _METHODS[name]
     args = [a.strip() for a in args.split(",")] if args else []
-
-    if name == "trap":
-        n = int(args[0]) if args else core.DEFAULT_N
-        return (
-            f"trap({n})",
-            functools.partial(core.w_plane, n=n),
-            lambda z: np.ones(z.shape, dtype=bool),
-        )
-    if name == "weideman":
-        from .reference import default_weideman_model, weideman_eval
-
-        n = int(args[0]) if args else 40
-        model = default_weideman_model(n)
-        return (
-            f"weideman({n})",
-            functools.partial(weideman_eval, m=model),
-            lambda z: z.imag >= 0.0,
-        )
-    if name == "cf":
-        from .reference import cf_convergent
-
-        n = int(args[0]) if args else 9
-        return (
-            f"cf({n})",
-            functools.partial(cf_convergent, n=n),
-            lambda z: np.abs(z) >= 8.0,
-        )
-    if name == "zaghloul":
-        from .reference import ZaghloulParams, zaghloul_eval
-
-        a = float(args[0]) if args else 0.5
-        k = int(args[1]) if len(args) > 1 else 38
-        p = ZaghloulParams(a=a, terms=k)
-        return (
-            f"zaghloul({a:g},{k})",
-            functools.partial(zaghloul_eval, p=p),
-            lambda z: (z.real >= 0.0) & (z.imag >= 0.0),
-        )
-    raise ParameterError(f"unknown method {name!r}")
+    if len(args) > len(defaults):
+        raise ParameterError(f"method spec {spec_str!r} has {len(args)} arguments; "
+                             f"{name} takes at most {len(defaults)}")
+    try:
+        values = [type(d)(a) for d, a in zip(defaults, args)] + list(defaults[len(args):])
+    except ValueError as exc:
+        raise ParameterError(f"bad argument in method spec {spec_str!r}: {exc}") from None
+    shown = ",".join(f"{v:g}" if isinstance(v, float) else str(v) for v in values)
+    return f"{name}({shown})", factory(*values), rated
 
 
 def accuracy_table(methods, grid: GridSpec = GridSpec()) -> list[TableRecord]:
@@ -408,8 +398,5 @@ def emit(records, path) -> None:
             writer.writerow([k for k, _ in rows[0]])
         writer.writerows([_fmt(v) for _, v in row] for row in rows)
         text = buf.getvalue()
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from exc
+    with open(path, "w", newline="") as fh:
+        fh.write(text)

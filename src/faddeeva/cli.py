@@ -185,7 +185,7 @@ def main(argv=None) -> int:
     try:
         args = ap.parse_args(argv)
         return args.func(args)
-    except (FaddeevaError, ValueError) as exc:
+    except (FaddeevaError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -104,6 +104,11 @@ class TestErrorSweep:
         assert rec.max_abs_err > 0.0
         assert rec.argmax_abs in bench.gen_grid(SMALL)[::16]
 
+    def test_bad_order_refused_before_grid(self, monkeypatch):
+        monkeypatch.setattr(bench, "gen_grid", lambda spec: pytest.fail("grid generated"))
+        with pytest.raises(ParameterError, match="got 30"):
+            error_sweep([5, 30], SMALL)
+
     def test_empty_n_values(self):
         with pytest.raises(ParameterError):
             error_sweep([], SMALL)
@@ -186,8 +191,15 @@ class TestAccuracyTable:
             accuracy_table([], SMALL)
 
     def test_unknown_method(self):
-        with pytest.raises(ParameterError):
-            parse_method("chebyshev(5)")
+        # an unknown name, an extra argument or a malformed one: each names its spec
+        for spec in ("chebyshev(5)", "trap(5,99)", "cf(11,3)", "zaghloul(0.5,38,1)",
+                     "trap(x)", "zaghloul(a)"):
+            with pytest.raises(ParameterError) as info:
+                parse_method(spec)
+            assert spec in str(info.value)
+
+    def test_omitted_arguments_take_defaults(self):
+        assert parse_method("zaghloul(1)")[0] == "zaghloul(1,38)"
 
 
 class TestTiming:
@@ -294,6 +306,10 @@ class TestCli:
         r = run_cli("eval", "--re", "1", "--im", "1", "--method", "cf", "--n", "11")
         assert r.returncode == 2 and "unrecognized arguments: --n" in r.stderr
 
+    def test_eval_extra_spec_argument_exit_2(self):
+        r = run_cli("eval", "--re", "1", "--im", "1", "--method", "trap(5,99)")
+        assert r.returncode == 2 and "trap(5,99)" in r.stderr
+
     def test_eval_unrated(self):
         r = run_cli("eval", "--re", "1", "--im", "1", "--method", "cf")
         assert r.returncode == 2
@@ -378,6 +394,12 @@ class TestCli:
         # an order above N_MAX is refused before the binary64 orders' pass
         r = run_cli("sweep", "--n-min", "0", "--n-max", "26", "--out", str(tmp_path / "x.csv"))
         assert r.returncode == 2 and "n-max <= 25" in r.stderr
+
+    def test_unwritable_out_exit_2(self, capsys):
+        rc = cli.main(["sweep", "--n-min", "3", "--n-max", "3", "--p-step", "0.5",
+                       "--theta-count", "9", "--out", "/no/such/dir/x.csv"])
+        assert rc == 2
+        assert "/no/such/dir/x.csv" in capsys.readouterr().err
 
     def test_empty_grid_exit_2(self, tmp_path, capsys):
         # a reversed range is an error, not a record of max_abs_err = -inf

@@ -100,8 +100,10 @@ class TestWeideman:
         assert np.max(resid) <= 1e-14
 
     def test_low_order_rejected(self):
-        with pytest.raises(ValueError):
-            weideman_fit_coeffs(4)
+        # refused before fitting: at n = 34 the fit's residual would be 1.1e-14
+        for n in (4, 34):
+            with pytest.raises(ValueError, match=">= 35"):
+                weideman_fit_coeffs(n)
 
     def test_bad_oracle_raises_construction_error(self):
         with pytest.raises(ConstructionError):
