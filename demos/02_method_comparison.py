@@ -21,6 +21,5 @@ for row in accuracy_table(methods, grid):
     print(f"{row.method:<18} {row.max_abs:>12.3e} {row.max_rel:>12.3e}")
 
 print("\ntiming (mean of 5 full-grid passes, informational only):")
-for m in methods:
-    rec = timing_run(m, grid, reps=5)
+for rec in timing_run(methods, grid, reps=5):
     print(f"{rec.method:<18} {rec.mean_seconds*1e3:>8.2f} ms  (sd {rec.sd_seconds*1e3:.2f} ms)")

@@ -336,30 +336,30 @@ def accuracy_table(methods, grid: GridSpec = GridSpec()) -> list[TableRecord]:
     ]
 
 
-def timing_run(method, grid: GridSpec = GridSpec(), reps: int = 25) -> TimingRecord:
-    """Mean/sd wall-clock time of full-grid evaluation (single-threaded).
+def timing_run(methods, grid: GridSpec = GridSpec(), reps: int = 25) -> list[TimingRecord]:
+    """Mean/sd wall-clock time of full-grid evaluation (single-threaded) of
+    each method; every spec is parsed before the one grid is built.
 
-    One discarded warm-up pass precedes the measured repetitions; grid
-    generation and I/O are excluded from the measured region.
+    One discarded warm-up pass precedes each method's measured repetitions;
+    grid generation and I/O are excluded from the measured region.
     """
     if reps < 3:
         raise ParameterError("reps must be >= 3")
-    label, fn, _mask = parse_method(method)
+    parsed = [parse_method(s) for s in methods]
+    if not parsed:
+        raise ParameterError("no methods given")
     z = gen_grid(grid)
-    fn(z)  # warm-up
-    times = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn(z)
-        times.append(time.perf_counter() - t0)
-    times = np.asarray(times)
-    return TimingRecord(
-        method=label,
-        mean_seconds=float(times.mean()),
-        sd_seconds=float(times.std(ddof=1)),
-        reps=reps,
-        grid=grid.digest,
-    )
+    records = []
+    for label, fn, _mask in parsed:
+        fn(z)  # warm-up
+        times = np.empty(reps)
+        for i in range(reps):
+            t0 = time.perf_counter()
+            fn(z)
+            times[i] = time.perf_counter() - t0
+        records.append(TimingRecord(label, float(times.mean()), float(times.std(ddof=1)),
+                                    reps, grid.digest))
+    return records
 
 
 # ---------------------------------------------------------------------------

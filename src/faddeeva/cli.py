@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 parameter/usage error, 3 threshold violation when
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 
@@ -85,10 +86,7 @@ def cmd_sweep(args) -> int:
 
 
 def _methods(args) -> list[str]:
-    methods = [m.strip() for m in args.methods.split(";") if m.strip()]
-    if not methods:
-        raise ParameterError("no methods given")
-    return methods
+    return [m.strip() for m in args.methods.split(";") if m.strip()]
 
 
 def cmd_table(args) -> int:
@@ -113,7 +111,7 @@ def cmd_table(args) -> int:
 
 def cmd_bench(args) -> int:
     grid = _grid_from_args(args)
-    records = [bench.timing_run(m, grid, reps=args.reps) for m in _methods(args)]
+    records = bench.timing_run(_methods(args), grid, reps=args.reps)
     bench.emit(records, args.out)
     print(f"wrote {len(records)} timing records to {args.out}")
     return 0
@@ -184,6 +182,9 @@ def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
+        out = getattr(args, "out", None)  # refused before the run that would fill it
+        if out is not None and not os.access(os.path.dirname(os.path.abspath(out)), os.W_OK):
+            raise ParameterError(f"cannot write {out}: its directory is missing or not writable")
         return args.func(args)
     except (FaddeevaError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

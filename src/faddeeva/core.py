@@ -88,8 +88,17 @@ def _as_xy(z):
     return z
 
 
-def _scalar_out(res, scalar):
-    return complex(res) if scalar else res
+def _pointwise(f):
+    """f(z, ...) on flat checked points, for any array-like z: the result takes
+    z's shape, a Python scalar for 0-d.  _as_xy is read per call, as tracing rebinds it."""
+
+    @functools.wraps(f)
+    def pointwise(z, *args, **kwargs):
+        z = _as_xy(z)
+        res = f(z.reshape(-1), *args, **kwargs).reshape(z.shape)
+        return res.item() if z.ndim == 0 else res
+
+    return pointwise
 
 
 def _pole_sum(a, b, pairs):
@@ -401,6 +410,7 @@ def w_quadrant1(z, n: int = DEFAULT_N):
     return w_plane(z, n)
 
 
+@_pointwise
 def w_plane(z, n: int = DEFAULT_N):
     """w_N(z) of order n on the whole complex plane: the dispatch on the
     upper half-plane, and the reflection below it.
@@ -408,9 +418,7 @@ def w_plane(z, n: int = DEFAULT_N):
     For Im(z) < 0 the true function grows like exp(y^2 - x^2) and the
     result overflows to a signed infinity once that exceeds binary64 range.
     """
-    p = _params(n)
-    z = _as_xy(z)
-    return _scalar_out(_evaluate(z, p).reshape(z.shape), z.ndim == 0)
+    return _evaluate(z, _params(n))
 
 
 def _by_parts(re, im):
@@ -443,30 +451,29 @@ def _erfc(z, exp_neg_z2, w):
     return out
 
 
+@_pointwise
 def erfc_c(z, n: int = DEFAULT_N):
     """Complementary error function erfc(z) = e^{-z^2} w(iz), by _erfc in
     binary64."""
-    z = _as_xy(z)
-    zf = z.reshape(-1)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        out = _erfc(zf, _exp_neg_z2, lambda v: w_plane(v, n))
+        out = _erfc(z, _exp_neg_z2, lambda v: w_plane(v, n))
     # erfc(iy) = 1 - i erfi(y), where e^{-z^2} w(iz) can be inf * 0, and
     # erfi(+-inf) = +-inf
-    axis = np.flatnonzero(zf.real == 0)
+    axis = np.flatnonzero(z.real == 0)
     out.real[axis] = 1.0
-    y = zf.imag[axis]
+    y = z.imag[axis]
     inf = np.isinf(y)
     out.imag[axis[inf]] = -y[inf]
-    return _scalar_out(out.reshape(z.shape), z.ndim == 0)
+    return out
 
 
+@_pointwise
 def erf_c(z, n: int = DEFAULT_N):
     """Error function erf(z) = 1 - erfc(z).  On the imaginary axis erf(iy) =
     i erfi(y) has the signed zero Re z as its real part, as erf is odd."""
-    z = _as_xy(z)
-    res = np.asarray(1.0 - np.asarray(erfc_c(z, n)))
+    res = 1.0 - erfc_c(z, n)
     np.copyto(res.real, z.real, where=z.real == 0)
-    return _scalar_out(res, z.ndim == 0)
+    return res
 
 
 def erfcx_c(z, n: int = DEFAULT_N):
@@ -479,9 +486,8 @@ def dawson_real(x, n: int = DEFAULT_N):
 
     It is odd in x exactly, as w(-x) = conj w(x) bit for bit.
     """
-    x = np.asarray(x, dtype=np.float64)
-    out = (math.sqrt(math.pi) / 2.0) * np.asarray(w_plane(_by_parts(x, 0.0), n)).imag
-    return float(out) if x.ndim == 0 else out
+    w = w_plane(_by_parts(np.asarray(x, dtype=np.float64), 0.0), n)
+    return (math.sqrt(math.pi) / 2.0) * w.imag
 
 
 def voigt_kl(x, y, n: int = DEFAULT_N):
@@ -490,7 +496,5 @@ def voigt_kl(x, y, n: int = DEFAULT_N):
     y = np.asarray(y, dtype=np.float64)
     if np.any(y <= 0):
         raise ParameterError("voigt_kl requires y > 0")
-    w = np.asarray(w_plane(_by_parts(x, y), n))
-    if w.ndim == 0:
-        return float(w.real), float(w.imag)
+    w = w_plane(_by_parts(x, y), n)
     return w.real, w.imag

@@ -371,17 +371,17 @@ class DDComplex:
 
 
 def dd_sum(a: DD) -> DD:
-    """Accurate reduction of a 1-d double-double array by pairwise folding."""
-    hi, lo = a.hi.ravel().copy(), a.lo.ravel().copy()
-    n = hi.size
+    """Accurate reduction along the last axis by pairwise folding."""
+    hi, lo = a.hi.copy(), a.lo.copy()
+    n = hi.shape[-1]
     while n > 1:
         half = (n + 1) // 2
-        left = DD(hi[:n - half], lo[:n - half])
-        right = DD(hi[half:n], lo[half:n])
+        left = DD(hi[..., :n - half], lo[..., :n - half])
+        right = DD(hi[..., half:n], lo[..., half:n])
         merged = left + right
-        hi[: n - half], lo[: n - half] = merged.hi, merged.lo
+        hi[..., :n - half], lo[..., :n - half] = merged.hi, merged.lo
         n = half
-    return DD(hi[0], lo[0])
+    return DD(hi[..., 0], lo[..., 0])
 
 
 def ddc_sum(z: DDComplex) -> DDComplex:

@@ -8,7 +8,7 @@ Three well-known alternatives to the quadrature-based evaluator in
   coefficients fitted against the extended-precision oracle,
 * a trapezoidal-flavoured real/imaginary split with five auxiliary sums.
 
-Each raises DomainError for a NaN component, as `w` does.
+Each takes z as `w` does (`core._pointwise`), NaN refused and 0-d to complex.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ _SQRT_PI = float(np.sqrt(np.pi))
 # Laplace continued fraction
 # ---------------------------------------------------------------------------
 
+@core._pointwise
 def cf_convergent(z, n: int = 9):
     """n-th convergent of the Laplace continued fraction for w(z).
 
@@ -47,9 +48,6 @@ def cf_convergent(z, n: int = 9):
     """
     if n < 1:
         raise ValueError("convergent index must be >= 1")
-    z = core._as_xy(z)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
     r = z.copy()
     with np.errstate(divide="ignore", invalid="ignore"):
         for m in range(n - 1, 0, -1):
@@ -57,7 +55,7 @@ def cf_convergent(z, n: int = 9):
         out = (1j / _SQRT_PI) / r
     if not np.all(np.isfinite(out)):
         raise EvaluationError("continued-fraction recurrence hit a zero denominator")
-    return out[0] if scalar else out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -108,21 +106,17 @@ def weideman_fit_coeffs(n: int, oracle=None) -> WeidemanModel:
     d = DDComplex(DD(np.full(m, ell)), DD(-zs))
     lead = 1.0 / (d * DD.from_pair(SQRT_PI))
     g = (d * d * (wv - lead)) * 0.5
-    # c_k = (1/m) sum_j g(Z_j) Z_j^{-k},  Z_j = e^{i theta_j}; the sums are
-    # accumulated in double-double (a float64 reduction here costs ~1e-14
-    # in the coefficients, which dominates the model's final accuracy).
-    coeffs = np.empty(n)
-    worst_imag = 0.0
-    j2 = 2 * np.arange(m) + 1
-    for k in range(n):
-        # exact phase reduction: Z_j^{-k} = exp(-i pi (k(2j+1) mod 2m)/m)
-        r = (k * j2) % (2 * m)
-        ang = DD.from_pair(PI) * DD(r.astype(np.float64)) / float(m)
-        sin_a, cos_a = dd_sincos(ang)
-        ck = ddc_sum(g * DDComplex(cos_a, -sin_a))
-        coeffs[k] = (ck.re.hi + ck.re.lo) / m
-        worst_imag = max(worst_imag, abs(ck.im.hi) / m)
-    if worst_imag > 1e-13:
+    # c_k = (1/m) sum_j g(Z_j) Z_j^{-k},  Z_j = e^{i theta_j}, for all k at once
+    # on the (k, j) grid, with the exact phase reduction Z_j^{-k} =
+    # exp(-i pi (k(2j+1) mod 2m)/m).  The sums are accumulated in double-double
+    # (a float64 reduction here costs ~1e-14 in the coefficients, which
+    # dominates the model's final accuracy).
+    r = (np.arange(n)[:, None] * (2 * np.arange(m) + 1)) % (2 * m)
+    ang = DD.from_pair(PI) * DD(r.astype(np.float64)) / float(m)
+    sin_a, cos_a = dd_sincos(ang)
+    c = ddc_sum(g * DDComplex(cos_a, -sin_a))
+    coeffs = (c.re.hi + c.re.lo) / m
+    if np.max(np.abs(c.im.hi)) / m > 1e-13:
         raise ConstructionError("fitted coefficients are not real to tolerance")
 
     model = WeidemanModel(n=n, l=ell, coeffs=coeffs)
@@ -138,11 +132,9 @@ def default_weideman_model(n: int = 40) -> WeidemanModel:
     return weideman_fit_coeffs(n)
 
 
+@core._pointwise
 def weideman_eval(z, m: WeidemanModel):
     """Evaluate the fitted rational model; valid for Im(z) >= 0."""
-    z = core._as_xy(z)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
     if np.any(z.imag < 0.0):
         raise DomainError("rational model is only valid in the closed upper half-plane")
     d = m.l - 1j * z
@@ -150,8 +142,7 @@ def weideman_eval(z, m: WeidemanModel):
     acc = np.zeros_like(z)
     for a in m.coeffs[::-1]:
         acc = acc * big_z + a
-    out = 1.0 / (_SQRT_PI * d) + (2.0 / (d * d)) * acc
-    return out[0] if scalar else out
+    return 1.0 / (_SQRT_PI * d) + (2.0 / (d * d)) * acc
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +206,9 @@ def _sums_vec(x, y, p: ZaghloulParams):
     return [s.reshape(shape) for s in sums]
 
 
+@core._pointwise
 def zaghloul_eval(z, p: ZaghloulParams = ZaghloulParams()):
     """Evaluate w(z) = u + iv from the real/imaginary split; first quadrant only."""
-    z = core._as_xy(z)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
     x = z.real.copy()
     y = z.imag.copy()
     if np.any(x < 0.0) or np.any(y < 0.0):
@@ -248,5 +237,4 @@ def zaghloul_eval(z, p: ZaghloulParams = ZaghloulParams()):
         u = ex2 * ecx * c2 + u_sing + (a * y / np.pi) * (-2.0 * c2 * s1 + s2 + s3)
         v = -ex2 * ecx * s2xy + v_sing + (a / np.pi) * (2.0 * y * s2xy * s1 - s4 + s5)
 
-    out = u + 1j * v
-    return out[0] if scalar else out
+    return u + 1j * v

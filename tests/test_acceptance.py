@@ -218,8 +218,8 @@ class TestCriterion5AccuracyTable:
         # informational only, never gated
         spec = bench.GridSpec(p_step=0.096, theta_count=51)  # ~6.4k points
         lines = []
-        for m in ("trap(11)", "weideman(40)", "cf(9)", "zaghloul(0.5,38)"):
-            rec = bench.timing_run(m, spec, reps=5)
+        methods = ["trap(11)", "weideman(40)", "cf(9)", "zaghloul(0.5,38)"]
+        for rec in bench.timing_run(methods, spec, reps=5):
             lines.append(f"{rec.method}: {rec.mean_seconds*1e3:.2f} ms (+-{rec.sd_seconds*1e3:.2f})")
         ACCEPTANCE_RESULTS.append("INFO  criterion 5 timings (not gated): " + "; ".join(lines))
 

@@ -205,7 +205,7 @@ class TestAccuracyTable:
 class TestTiming:
     def test_timing_record(self):
         tiny = GridSpec(p_min=-1.0, p_max=1.0, p_step=0.1, theta_count=11)
-        rec = timing_run("trap(11)", tiny, reps=3)
+        (rec,) = timing_run(["trap(11)"], tiny, reps=3)
         assert isinstance(rec, TimingRecord)
         assert rec.reps == 3
         assert rec.mean_seconds > 0.0 and rec.sd_seconds >= 0.0
@@ -213,7 +213,7 @@ class TestTiming:
 
     def test_reps_minimum(self):
         with pytest.raises(ParameterError):
-            timing_run("trap(11)", SMALL, reps=2)
+            timing_run(["trap(11)"], SMALL, reps=2)
 
 
 class TestEmit:
@@ -387,6 +387,26 @@ class TestCli:
         assert r.returncode == 2
         assert "no methods given" in r.stderr
         assert not out.exists()
+
+    def test_bench_bad_spec_refused_before_timing(self, tmp_path, monkeypatch, capsys):
+        # every spec is parsed before the grid is built, let alone timed
+        monkeypatch.setattr(bench, "gen_grid", lambda spec: pytest.fail("grid generated"))
+        out = tmp_path / "b.csv"
+        rc = cli.main(["bench", "--methods", "trap(11);trap(x)", "--reps", "3",
+                       "--out", str(out)])
+        assert rc == 2
+        assert "trap(x)" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, runner", [
+        (["sweep", "--n-min", "3", "--n-max", "3"], "error_sweep"),
+        (["table", "--methods", "trap(11)"], "accuracy_table"),
+        (["bench", "--methods", "trap(11)"], "timing_run"),
+    ], ids=["sweep", "table", "bench"])
+    def test_unwritable_out_refused_before_run(self, command, runner, monkeypatch, capsys):
+        monkeypatch.setattr(bench, runner, lambda *a, **k: pytest.fail(f"{runner} ran"))
+        assert cli.main([*command, "--out", "/no/such/dir/x.csv"]) == 2
+        assert "/no/such/dir/x.csv" in capsys.readouterr().err
 
     def test_bad_params_exit_2(self, tmp_path):
         r = run_cli("sweep", "--n-min", "5", "--n-max", "3", "--out", str(tmp_path / "x.csv"))

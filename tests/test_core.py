@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import faddeeva
-from faddeeva import core, oracle
+from faddeeva import core, oracle, reference
 from faddeeva.bounds import abs_bound
 from faddeeva.errors import DomainError, ParameterError
 from faddeeva.oracle import erfc_oracle, w_oracle
@@ -365,6 +365,36 @@ class TestBlocks:
         assert core.w_plane(np.array(2.0 + 1.0j), 11) == core.w_plane(
             np.array([2.0 + 1.0j]), 11
         )[0]
+
+
+_Q = 8.0 + np.linspace(0.0, 12.0, 12).reshape(3, 4) * (1 + 0.5j)  # first quadrant, |z| >= 8
+
+
+@pytest.mark.parametrize("f, z, scalar", [
+    (faddeeva.w, _Q, complex),
+    (faddeeva.erfc, _Q, complex),
+    (faddeeva.erf, _Q, complex),
+    (faddeeva.erfcx, _Q, complex),
+    (faddeeva.dawson, _Q.real, float),
+    (lambda x: faddeeva.voigt(x, 0.5), _Q.real, float),
+    (reference.cf_convergent, _Q, complex),
+    (lambda z: reference.weideman_eval(z, reference.default_weideman_model()), _Q, complex),
+    (reference.zaghloul_eval, _Q, complex),
+], ids=["w", "erfc", "erf", "erfcx", "dawson", "voigt", "cf", "weideman", "zaghloul"])
+def test_evaluator_boundary(f, z, scalar):
+    """Every evaluator keeps an array's shape, gives a Python scalar for a
+    0-d input and refuses a NaN component."""
+
+    def parts(v):
+        return v if isinstance(v, tuple) else (v,)
+
+    for out, flat in zip(parts(f(z)), parts(f(z.ravel()))):
+        assert out.shape == z.shape
+        assert _bits(out) == _bits(flat.reshape(z.shape))
+    for v in parts(f(z[1, 2])):
+        assert type(v) is scalar
+    with pytest.raises(DomainError):
+        f(np.where(np.arange(z.size) == 5, np.nan, z.ravel()))
 
 
 class TestDerived:

@@ -163,6 +163,15 @@ class TestReductions:
         err = abs(float(dd_value(s) - exact))
         assert err < abs(float(exact)) * 1e-28 + 1e-28
 
+    def test_dd_sum_reduces_last_axis(self):
+        rng = np.random.default_rng(8)
+        v = DD(rng.standard_normal((3, 1000))) / 3.0  # nonzero lo parts
+        s = dd_sum(v)
+        assert s.hi.shape == (3,)
+        for i in range(3):
+            row = dd_sum(DD(v.hi[i], v.lo[i]))
+            assert (s.hi[i], s.lo[i]) == (row.hi, row.lo)
+
 
 class TestAgainstMpmath:
     """The elementary kernels and their constants against mpmath at 200 bits."""
