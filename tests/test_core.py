@@ -128,7 +128,11 @@ class TestMidSum:
         # below h/2)
         half_h = np.array([P11.h / 2, core._params(oracle.ORACLE_N).h / 2])
         half_h = np.concatenate([np.nextafter(half_h, 0), half_h, np.nextafter(half_h, 1)])
-        near = np.concatenate([[1 + 2j, 3.2 + 0.1j, 0.4 + 0.3j, 2.9 + 1e-3j], half_h + 0.1j])
+        # 0.05 + 0.03j lies within h/4 of 0, where binary64 MM takes its
+        # Maclaurin series and the other MM points the node sum
+        near = np.concatenate(
+            [[1 + 2j, 3.2 + 0.1j, 0.4 + 0.3j, 2.9 + 1e-3j, 0.05 + 0.03j], half_h + 0.1j]
+        )
         far = np.array([1e25 + 1j, 1e300 + 1e290j, complex(np.inf, 2.0)])
         arithmetics = [
             (P11, core._rule, lambda w: (w.real, w.imag)),
@@ -176,6 +180,60 @@ class TestModTrap:
             z = (k + 0.75) * P11.h + 0.1j
             d = abs(rule(z, MT) - rule(z, MM))
             assert d <= 2 * abs_bound(11) + 8e-15
+
+
+class TestMaclaurin:
+    """MM points within h/4 of 0 take the rule's Maclaurin series in binary64;
+    the oracle's w_ref sums the same rule by its nodes and correction in
+    double-double, so it shares no code with the series."""
+
+    #: unit roundoff of binary64
+    U = 2.0**-53
+
+    @staticmethod
+    def disk_points(n, count=256):
+        """Seeded points of the disk |z| < h/4 in all four quadrants, with
+        signed zeros, subnormal parts and points on the rim at 0.999 h/4."""
+        r = core._params(n).h / 4
+        rng = np.random.default_rng([11, n])
+        z = r * np.sqrt(rng.uniform(0, 1, count)) * np.exp(1j * rng.uniform(-np.pi, np.pi, count))
+        special = [
+            complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+            complex(5e-324, 0.0), complex(-5e-324, 1e-310), complex(1e-310, -5e-324),
+            complex(0.0, 1e-320), complex(-0.0, r / 2), complex(r / 2, -0.0),
+        ]
+        rim = 0.999 * r * np.exp(1j * np.linspace(-np.pi, np.pi, 16, endpoint=False))
+        return np.concatenate([z, special, rim])
+
+    @pytest.mark.parametrize("n", range(core.N_MAX + 1))
+    def test_series_matches_node_sum(self, n):
+        z = self.disk_points(n)
+        got = core.w_plane(z, n)
+        ref = oracle.w_ref(z, n).to_complex()
+        err = np.abs(got - ref)
+        bad = err > 8 * self.U * np.abs(ref)
+        assert not bad.any(), list(zip(z[bad], err[bad] / np.abs(ref[bad])))
+
+    def test_against_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+
+        def w_mp(z, dps):
+            with mp.workdps(dps):
+                v = mp.mpc(z)
+                return complex(mp.exp(-v * v) * mp.erfc(-1j * v))
+
+        z = self.disk_points(core.DEFAULT_N)
+        want = np.array([w_mp(v, 30) for v in z])
+        assert np.array_equal(want, [w_mp(v, 60) for v in z])
+        got = core.w_plane(z, core.DEFAULT_N)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 2e-15
+
+    def test_coefficients_built_on_first_disk_point(self):
+        core._maclaurin_coeffs.cache_clear()
+        core.w_plane(np.array([1.5 + 0.5j, 3.2 + 0.1j]), 11)
+        assert core._maclaurin_coeffs.cache_info().currsize == 0
+        core.w_plane(0.05 + 0.05j, 11)
+        assert core._maclaurin_coeffs.cache_info().currsize == 1
 
 
 class TestSelectBranch:
@@ -395,6 +453,20 @@ def test_evaluator_boundary(f, z, scalar):
         assert type(v) is scalar
     with pytest.raises(DomainError):
         f(np.where(np.arange(z.size) == 5, np.nan, z.ravel()))
+
+
+@pytest.mark.parametrize("f, arg", [
+    (faddeeva.w, _Q), (faddeeva.erf, _Q), (faddeeva.erfc, _Q), (faddeeva.erfcx, _Q),
+    (faddeeva.dawson, _Q.real), (lambda x: faddeeva.voigt(x, 0.5), _Q.real),
+], ids=["w", "erf", "erfc", "erfcx", "dawson", "voigt"])
+def test_validates_once(monkeypatch, f, arg):
+    """Every public call checks its points once: the derived functions
+    compose through the flat internals, not through the public boundary."""
+    calls = []
+    check = core._as_xy
+    monkeypatch.setattr(core, "_as_xy", lambda z: calls.append(z) or check(z))
+    f(arg)
+    assert len(calls) == 1
 
 
 class TestDerived:

@@ -18,6 +18,8 @@ for info in pkgutil.iter_modules(faddeeva.__path__):
     importlib.import_module("faddeeva." + info.name)
 from faddeeva import cli
 print(faddeeva.w(1 + 1j))
+# a point within h/4 of 0 builds the Maclaurin coefficients of its order
+print(faddeeva.w(0.01 + 0.01j))
 sys.exit(cli.main(["eval", "--re", "1", "--im", "1", "--method", "weideman"]))
 """
 
@@ -31,4 +33,5 @@ def test_numpy_only():
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
     assert complex(lines[0]) == faddeeva.w(1 + 1j)
-    assert lines[1].endswith("[weideman(40)]")
+    assert complex(lines[1]) == faddeeva.w(0.01 + 0.01j)
+    assert lines[2].endswith("[weideman(40)]")
