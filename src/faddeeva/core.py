@@ -6,9 +6,9 @@ and a trapezoidal sum with a residue correction -- picking per point the
 one whose nodes stay at distance >= h/4 from z, or far out i c/z, which
 all three reduce to.  Each satisfies w_N(-conj z) = conj w_N(z), so the
 choice reads |Re z| and the formula takes z as it is.  Within h/4 of 0
-the midpoint rule with correction is summed by its own Maclaurin series.
-The reflection w(z) = 2 e^{-z^2} - w(-z) extends the result to the lower
-half-plane.
+the midpoint rule with correction is summed by its own Maclaurin series,
+and at |z| >= 64 each formula by its own Laurent series.  The reflection
+w(z) = 2 e^{-z^2} - w(-z) extends the result to the lower half-plane.
 """
 
 from __future__ import annotations
@@ -246,23 +246,48 @@ def _rule(x, y, p: EvalParams, tag: BranchTag):
     """The part ``tag`` of the dispatch on its points x + iy of the closed
     upper half-plane, given as float64 planes x and y.
 
-    MM points within h/4 of 0 take the rule's Maclaurin series
-    (_maclaurin), which costs less than its node sum and correction there;
-    every other point takes _rule_sum."""
-    if tag is not BranchTag.MM:
+    Where a rule's own series costs less than its node sum and correction,
+    its points take the series: M, MT and MM points with |z| >= _LAURENT
+    the Laurent series (_laurent), MM points within h/4 of 0 the Maclaurin
+    series (_maclaurin).  Every other point takes _rule_sum."""
+    if tag is BranchTag.FAR:
         return _rule_sum(x, y, p, tag)
-    r2 = x * x
-    r2 += y * y
-    near = r2 < (p.h / 4.0) ** 2
-    idx = np.flatnonzero(near)
-    if idx.size == x.size:
-        return _maclaurin(x, y, p)
-    if not idx.size:
+    # the far test costs a reduction or three where no point is far, as on
+    # most calls on small inputs
+    if tag is BranchTag.MM:
+        r2 = x * x
+        r2 += y * y
+        far = r2.max() >= _LAURENT * _LAURENT
+    else:
+        # |z|^2 <= 2 y^2 on M points (y >= |x|) and 2 x^2 on MT points (y < |x|)
+        r2 = None
+        top = y.max() if tag is BranchTag.M else max(x.max(), -x.min())
+        far = 2.0 * top * top >= _LAURENT * _LAURENT
+    series = []
+    if far:
+        if r2 is None:
+            r2 = x * x
+            r2 += y * y
+        series.append((r2 >= _LAURENT * _LAURENT, functools.partial(_laurent, p=p, tag=tag)))
+    if tag is BranchTag.MM:
+        series.append((r2 < (p.h / 4.0) ** 2, functools.partial(_maclaurin, p=p)))
+    w = rest = None
+    for sel, f in series:
+        idx = np.flatnonzero(sel)
+        if idx.size == x.size:
+            return f(x, y)
+        if idx.size:
+            if w is None:
+                w = np.empty(x.shape, dtype=np.complex128)
+                rest = ~sel
+            else:
+                rest &= ~sel
+            w[idx] = f(x[idx], y[idx])
+    if w is None:
         return _rule_sum(x, y, p, tag)
-    rest = np.flatnonzero(~near)
-    w = np.empty(x.shape, dtype=np.complex128)
-    w[idx] = _maclaurin(x[idx], y[idx], p)
-    w[rest] = _rule_sum(x[rest], y[rest], p, tag)
+    rest = np.flatnonzero(rest)
+    if rest.size:
+        w[rest] = _rule_sum(x[rest], y[rest], p, tag)
     return w
 
 
@@ -285,22 +310,60 @@ def _rule_sum(x, y, p: EvalParams, tag: BranchTag):
     )
 
 
-#: _maclaurin_coeffs keeps a term of the series while it can reach this on
-#: the disk |z| < h/4, where |w| > 0.6 at every order: a small fraction of
-#: an ulp of w
+#: the series keep a term while it can reach this fraction of |w| on their
+#: points: a small fraction of an ulp of w
 _SERIES_TAIL = 2.0 ** -60
+
+#: M, MT and MM points with |z| at or above this take the rules' Laurent
+#: series (_laurent)
+_LAURENT = 64.0
+
+
+def _dd_nodes(n: int, trap: bool):
+    """The nodes of order n as double-double arrays node_k^2 and e_k =
+    (2h/pi) e^{-node_k^2}, from the oracle's constants, k = N first: the
+    midpoint nodes t_k, or with ``trap`` the trapezoidal nodes tau_k."""
+    from .ddouble import DD
+    # imported here: oracle imports core
+    from .oracle import _dd_params
+
+    two_h_over_pi, _, _, mid, trap_pairs, _ = _dd_params(n)
+    pairs = trap_pairs if trap else mid
+
+    def words(values):
+        return DD(np.array([v.hi for v in values]), np.array([v.lo for v in values]))
+
+    return words([t for t, _ in pairs]), words([e for _, e in pairs]) * two_h_over_pi
+
+
+def _horner(s, c):
+    """sum_j c_j s^j at complex points s for real coefficients c_0, c_1, ...,
+    by Horner's rule.  Complex products get outputs that alias no input
+    (see _corrections)."""
+    if len(c) == 1:
+        return np.full(s.shape, c[0], dtype=np.complex128)
+    acc = s * c[-1]
+    acc += c[-2]
+    nxt = np.empty_like(s)
+    for cj in c[-3::-1]:
+        np.multiply(acc, s, out=nxt)
+        acc, nxt = nxt, acc
+        acc += cj
+    return acc
 
 
 @functools.lru_cache(maxsize=None)
 def _maclaurin_coeffs(n: int) -> tuple:
-    """The coefficients f_0, f_1, ... of the MM rule of order n written as
-    e^{-z^2} + iz sum_m f_m z^{2m}, rounded to binary64.
+    """The coefficients c_k of the MM rule of order n written as
+    1 + v sum_k c_k v^k in v = iz, rounded to binary64.
 
     The rule is the paper's w_N: its poles at +-t_k, k <= N, cancel between
     the node sum and the correction, so the series converges for
     |z| < t_{N+1} = (N + 3/2)h.  The correction 2 e^{-z^2} q/(1+q) is
     e^{-z^2} (1 + i tan(pi z/h)), so with e_k = (2h/pi) e^{-t_k^2} the rule
-    is e^{-z^2} + i[z sum_k e_k/(z^2 - t_k^2) + e^{-z^2} tan(pi z/h)], and
+    is e^{-z^2} + i[z sum_k e_k/(z^2 - t_k^2) + e^{-z^2} tan(pi z/h)].  Its
+    even part e^{-z^2} - 1 = e^{v^2} - 1 gives c_{2m+1} = 1/(m+1)!.  Its
+    odd part is iz sum_m f_m z^{2m}, which gives c_{2m} = (-1)^m f_m, with
 
         f_m = -sum_k e_k/t_k^{2m+2}
               + sum_{j<=m} ((-1)^{m-j}/(m-j)!) T_j (pi/h)^{2j+1}
@@ -308,14 +371,14 @@ def _maclaurin_coeffs(n: int) -> tuple:
     for tan u = sum_j T_j u^{2j+1}.  Both sums grow like (2/h)^{2m} and
     cancel to about 1/Gamma(m + 3/2), so they are formed in double-double,
     from the oracle's constants and the T_j as exact rationals (from
-    tan' = 1 + tan^2).  Terms are kept until |f_m| (h/4)^{2m+1} falls below
-    _SERIES_TAIL; from there on each term is more than 30 times smaller
-    than the one before it.
+    tan' = 1 + tan^2).  Each part keeps its terms while they can reach
+    _SERIES_TAIL on the disk |z| < h/4, where |w| > 0.6 at every order;
+    from there on each term is more than 30 times smaller than the one
+    before it.
     """
     from fractions import Fraction
 
     from .ddouble import DD, dd_sum
-    # imported here: oracle imports core
     from .oracle import _dd_params
 
     def dd_array(values):
@@ -325,17 +388,20 @@ def _maclaurin_coeffs(n: int) -> tuple:
         hi = float(q)
         return DD(hi, float(q - Fraction(hi)))
 
-    two_h_over_pi, _, pi_over_h, mid, _, _ = _dd_params(n)
-    t2 = dd_array([t for t, _ in mid])
-    e = dd_array([v for _, v in mid]) * two_h_over_pi
-    pi2 = pi_over_h * pi_over_h
     r = _params(n).h / 4.0
+    even = []  # c_{2m+1}
+    while r ** (2 * len(even) + 2) / math.factorial(len(even) + 1) >= _SERIES_TAIL:
+        even.append(1.0 / math.factorial(len(even) + 1))
+
+    pi_over_h = _dd_params(n)[2]
+    t2, e = _dd_nodes(n, trap=False)
+    pi2 = pi_over_h * pi_over_h
     tan = [Fraction(0), Fraction(1)]  # tan u = sum_k tan[k] u^k
     pi_pows = [pi_over_h]  # (pi/h)^{2j+1}, j = 0..m
     node_pows = t2  # t_k^{2m+2}
-    f = []
+    odd = []
     while True:
-        m = len(f)
+        m = len(odd)
         while len(tan) < 2 * m + 2:
             k = len(tan) - 1
             tan.append(sum(tan[i] * tan[k - i] for i in range(k + 1)) / (k + 1))
@@ -348,42 +414,90 @@ def _maclaurin_coeffs(n: int) -> tuple:
         fm = dd_sum(rational * dd_array(pi_pows)) - dd_sum(e / node_pows)
         node_pows = node_pows * t2
         if abs(float(fm.hi)) * r ** (2 * m + 1) < _SERIES_TAIL:
-            return tuple(f)
-        f.append(float(fm.hi))
+            break
+        odd.append(float(fm.hi))
+    c = [0.0] * max(2 * len(odd) - 1, 2 * len(even))
+    c[1:2 * len(even):2] = even
+    for m, fm in enumerate(odd):
+        c[2 * m] = -fm if m % 2 else fm
+    return tuple(c)
 
 
 def _maclaurin(x, y, p: EvalParams):
     """The MM rule at points z = x + iy with |z| < h/4, by its Maclaurin
-    series e^{-z^2} + iz O(z^2), O(s) = sum_m f_m s^m (_maclaurin_coeffs).
+    series 1 + v P(v) in v = iz (_maclaurin_coeffs).
 
-    The even part is one complex exp.  O runs Horner's rule on z^2 with
-    real coefficients and iz multiplies it once, so every step turns into
-    its conjugate under z -> -conj z, exactly: w(-x + iy) = conj w(x + iy)
-    bit for bit.  x and y enter O only through z^2, so a subnormal one is
-    rounded once, in the last product.  Complex products get outputs that
-    alias no input (see _corrections).
+    P runs Horner's rule on v = -y + ix with real coefficients, and v
+    multiplies it once, so every step turns into its conjugate under
+    z -> -conj z, exactly: w(-x + iy) = conj w(x + iy) bit for bit.  The 1
+    comes last, so w(0) = 1 exactly, and at a subnormal real x the last
+    product rounds Im w = (2/sqrt(pi)) x once.
     """
-    f = _maclaurin_coeffs(p.n)
-    z2 = np.empty(x.shape, dtype=np.complex128)
-    np.multiply(x, x, out=z2.real)
-    z2.real -= y * y
-    np.multiply(x, y, out=z2.imag)
-    z2.imag *= 2.0
-    acc = z2 * f[-1]
-    acc += f[-2]
-    nxt = np.empty_like(z2)
-    for fm in f[-3::-1]:
-        np.multiply(acc, z2, out=nxt)
-        acc, nxt = nxt, acc
-        acc += fm
-    iz = np.empty_like(z2)
-    np.negative(y, out=iz.real)
-    np.copyto(iz.imag, x)
-    np.multiply(iz, acc, out=nxt)
-    np.negative(z2, out=z2)
-    w = np.exp(z2)
-    w += nxt
+    v = np.empty(x.shape, dtype=np.complex128)
+    np.negative(y, out=v.real)
+    np.copyto(v.imag, x)
+    w = np.multiply(v, _horner(v, _maclaurin_coeffs(p.n)))
+    w.real += 1.0
     return w
+
+
+@functools.lru_cache(maxsize=None)
+def _laurent_coeffs(n: int, trap: bool) -> tuple:
+    """The coefficients c_j = (-1)^j mu_j of the node sum of order n written
+    as (i/z) sum_j c_j u^j with u = (i/z)^2, rounded to binary64: the
+    midpoint sum's (M and MM), or with ``trap`` the trapezoidal sum's (MT).
+
+    For |z| > t, 1/(z^2 - t^2) = sum_j t^{2j}/z^{2j+2}, so the midpoint sum
+    iz sum_k e_k/(z^2 - t_k^2), e_k = (2h/pi) e^{-t_k^2}, is
+    (i/z) sum_j mu_j z^{-2j} with the moments mu_j = sum_k e_k t_k^{2j}, and
+    z^{-2j} = (-u)^j.  mu_0 is FAR's c, so i c/z is the first term.  The
+    trapezoidal sum has the moments of its nodes tau_k = kh, k = 1..N, and
+    its mu_0 also takes the h/pi of ih/(pi z).  The moments are summed in
+    double-double from the oracle's constants.  As |w| is about mu_0/|z|
+    there, a term is kept while mu_j/_LAURENT^{2j} >= _SERIES_TAIL mu_0;
+    each later one is more than 4096/78.5 = 52 times smaller (t_k^2 <= 78.5
+    at N <= 25).
+    """
+    from .ddouble import dd_sum
+    from .oracle import _dd_params
+
+    h_over_pi = _dd_params(n)[1]
+    t2, e = _dd_nodes(n, trap)
+    if not t2.hi.size:  # the trapezoidal sum of order 0 is ih/(pi z)
+        return (float(h_over_pi.hi),)
+    c = []
+    while True:
+        mu = dd_sum(e)
+        if trap and not c:
+            mu = mu + h_over_pi
+        mu = float(mu.hi)
+        j = len(c)
+        if j and mu < _SERIES_TAIL * c[0] * _LAURENT ** (2 * j):
+            return tuple(c)
+        c.append(-mu if j % 2 else mu)
+        e = e * t2
+
+
+def _laurent(x, y, p: EvalParams, tag: BranchTag):
+    """The rule ``tag`` at points z = x + iy with _LAURENT <= |z| and
+    max(|x|, y) < _FAR, by its Laurent series (i/z) S(u), with
+    S(u) = sum_j c_j u^j and u = (i/z)^2 (_laurent_coeffs).
+
+    i/z = (y + ix)/(x^2 + y^2) takes two real divisions; below FAR's cut
+    x^2 + y^2 < 2e40, so nothing needs scaling.  S runs Horner's rule on u
+    with real coefficients, so every step turns into its conjugate under
+    x -> -x, exactly.  The residue correction of MM and MT is left out:
+    their points have |x| > _LAURENT/sqrt(2) there, where it is below
+    2 e^{-min(x^2, 2 pi |x|/h)} <= 2e^{-160}, under an ulp of either part
+    of w wherever _add_correction would not skip it.
+    """
+    c = _laurent_coeffs(p.n, tag is BranchTag.MT)
+    r2 = x * x
+    r2 += y * y
+    v = np.empty(x.shape, dtype=np.complex128)
+    np.divide(y, r2, out=v.real)
+    np.divide(x, r2, out=v.imag)
+    return np.multiply(v, _horner(v * v, c))
 
 
 #: far-field cut on max(|x|, y) in the upper half-plane.  At and above it every
@@ -458,16 +572,21 @@ class _Arithmetic(NamedTuple):
 
     ``empty(size)`` makes the flat output container, ``rule(x, y, p, tag)``
     evaluates the part ``tag`` of the dispatch on its upper half-plane
-    points x + iy, and ``exp_neg_z2(z)`` returns e^{-z^2} for complex128
-    points z, for the reflection of the lower half-plane.
+    points x + iy, ``exp_neg_z2(z)`` returns e^{-z^2} for complex128
+    points z, for the reflection of the lower half-plane, and
+    ``imag_words(w)`` returns the float64 arrays that hold Im w, the
+    leading one first.
     """
 
     empty: Callable
     rule: Callable
     exp_neg_z2: Callable
+    imag_words: Callable
 
 
-_BINARY64 = _Arithmetic(functools.partial(np.empty, dtype=np.complex128), _rule, _exp_neg_z2)
+_BINARY64 = _Arithmetic(
+    functools.partial(np.empty, dtype=np.complex128), _rule, _exp_neg_z2, lambda w: (w.imag,)
+)
 
 
 def _upper_block(x, y, p: EvalParams, out, arith: _Arithmetic):
@@ -524,6 +643,15 @@ def _evaluate(z, p: EvalParams, arith: _Arithmetic = _BINARY64):
         _upper_block(x, np.abs(y), p, ob, arith)
         if lower.size:
             ob[lower] = _reflect(zb[lower], ob[lower], arith)
+        # w(-conj z) = conj w(z) makes Im w odd in Re z: on Re z = +-0, where
+        # w is real, and where it underflows, Im w is the zero with the sign
+        # of Re z (above the real axis Im w has that sign).  The sums leave
+        # a zero of either sign there.
+        words = arith.imag_words(ob)
+        zero = words[0] == 0
+        if zero.any():
+            for word in words:
+                np.copysign(0.0, zb.real, out=word, where=zero)
     return out
 
 

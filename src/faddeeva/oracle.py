@@ -146,7 +146,9 @@ def w_ref(z, n: int = ORACLE_N) -> DDComplex:
     # built per call: the benchmark's traced run (perfbench/tracing.py)
     # rebinds _w_q1_dd by module attribute, and a tuple made at import would
     # keep the unwrapped function
-    dd = core._Arithmetic(DDComplex.zeros, _w_q1_dd, _exp_neg_z2_at)
+    dd = core._Arithmetic(
+        DDComplex.zeros, _w_q1_dd, _exp_neg_z2_at, lambda w: (w.im.hi, w.im.lo)
+    )
     out = core._evaluate(z, core._params(n), arith=dd)
     return out[0] if z.ndim == 0 else out
 

@@ -242,8 +242,16 @@ class TestCriterion6Identities:
 
         rng = np.random.default_rng(31)
         zs = rng.uniform(0, 20, 5000) + 1j * rng.uniform(0, 20, 5000)
+        # the imaginary axis, where w is real: Im w is the zero with the sign
+        # of Re z, which == cannot tell from the other zero
+        axis_y = [0.0, 0.05, 2.0, 10.0, 100.0, 1e25, -0.05, -2.0, -10.0]
+        axis = np.array([complex(x, y) for x in (0.0, -0.0) for y in axis_y])
+        # and where Im w underflows
+        tiny = np.array([5e-324 + 2j, -5e-324 + 30j, 1e-310 + 100j])
+        zs = np.concatenate([zs, axis, tiny])
         ok_conj = np.array_equal(
-            np.asarray(core.w_plane(-np.conj(zs), 11)), np.conj(core.w_plane(zs, 11))
+            np.asarray(core.w_plane(-np.conj(zs), 11)).view(np.uint64),
+            np.conj(core.w_plane(zs, 11)).view(np.uint64),
         )
         msgs.append("conjugate symmetry " + ("bit-exact" if ok_conj else "VIOLATED"))
 

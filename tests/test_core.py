@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import faddeeva
@@ -129,9 +129,11 @@ class TestMidSum:
         half_h = np.array([P11.h / 2, core._params(oracle.ORACLE_N).h / 2])
         half_h = np.concatenate([np.nextafter(half_h, 0), half_h, np.nextafter(half_h, 1)])
         # 0.05 + 0.03j lies within h/4 of 0, where binary64 MM takes its
-        # Maclaurin series and the other MM points the node sum
+        # Maclaurin series, and the last four lie beyond |z| = 64, where each
+        # rule takes its Laurent series
         near = np.concatenate(
-            [[1 + 2j, 3.2 + 0.1j, 0.4 + 0.3j, 2.9 + 1e-3j, 0.05 + 0.03j], half_h + 0.1j]
+            [[1 + 2j, 3.2 + 0.1j, 0.4 + 0.3j, 2.9 + 1e-3j, 0.05 + 0.03j,
+              45 + 50j, 50 + 45j, 70.3 + 5j, 120 + 0.5j], half_h + 0.1j]
         )
         far = np.array([1e25 + 1j, 1e300 + 1e290j, complex(np.inf, 2.0)])
         arithmetics = [
@@ -234,6 +236,124 @@ class TestMaclaurin:
         assert core._maclaurin_coeffs.cache_info().currsize == 0
         core.w_plane(0.05 + 0.05j, 11)
         assert core._maclaurin_coeffs.cache_info().currsize == 1
+
+
+class TestLaurent:
+    """M, MT and MM points with |z| >= _LAURENT take the rules' Laurent
+    series in binary64; the oracle's w_ref sums the same rules by their
+    nodes and corrections in double-double, so it shares no code with the
+    series."""
+
+    #: unit roundoff of binary64
+    U = 2.0**-53
+
+    @staticmethod
+    def far_points(n, count=300):
+        """Seeded points with |z| log-uniform in [_LAURENT, 1e20) in all four
+        quadrants, points on both axes, on the rim _LAURENT (1 + 2^-52) and
+        just below FAR's cut."""
+        rng = np.random.default_rng([23, n])
+        r = np.exp(rng.uniform(np.log(core._LAURENT), np.log(1e20), count))
+        z = r * np.exp(1j * rng.uniform(-np.pi, np.pi, count))
+        angles = np.linspace(-np.pi, np.pi, 16, endpoint=False)
+        rim = core._LAURENT * (1 + 2.0**-52) * np.exp(1j * angles)
+        while (low := rim.real**2 + rim.imag**2 < core._LAURENT**2).any():
+            rim[low] *= 1 + 2.0**-52
+        edge = np.nextafter(core._FAR, 0)
+        special = [
+            complex(0.0, 100.0), complex(-0.0, 1e5), complex(0.0, edge), complex(-0.0, 5e12),
+            complex(100.0, 0.0), complex(-1e5, 0.0), complex(3e9, -0.0), complex(-edge, 0.0),
+            complex(edge, 1.0), complex(-edge, 1e19), complex(3.0, edge), complex(edge, edge),
+            complex(-edge, edge), complex(edge, -edge / 2), complex(1.5, -edge),
+        ]
+        z = np.concatenate([z, rim, special])
+        # below the real axis w(z) = 2 e^{-z^2} - w(-z).  Where that term is
+        # not skipped, binary64's exp of the rounded z^2 is off by about
+        # |z|^2 u: the reflection's error, not the series'.  Those points
+        # are moved above the axis.
+        ax, ay = np.abs(z.real), np.abs(z.imag)
+        live = (z.imag < 0) & ((ax - ay) * (ax + ay) <= -core._LIVE_EXPONENT)
+        z[live] = np.conj(z[live])
+        return z
+
+    @staticmethod
+    def spy(monkeypatch):
+        """The number of points _laurent evaluates, per call."""
+        seen = []
+        laurent = core._laurent
+
+        def counted(x, y, p, tag):
+            seen.append(x.size)
+            return laurent(x, y, p, tag)
+
+        monkeypatch.setattr(core, "_laurent", counted)
+        return seen
+
+    @pytest.mark.parametrize("n", range(core.N_MAX + 1))
+    def test_series_matches_node_sum(self, n, monkeypatch):
+        z = self.far_points(n)
+        seen = self.spy(monkeypatch)
+        got = core.w_plane(z, n)
+        assert sum(seen) == z.size
+        ref = oracle.w_ref(z, n).to_complex()
+        for part in (np.real, np.imag):
+            err = np.abs(part(got) - part(ref))
+            bad = err > 8 * self.U * np.abs(part(ref))
+            assert not bad.any(), list(zip(z[bad], err[bad] / np.abs(part(ref)[bad])))
+
+    def test_against_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+
+        def w_mp(z, dps):
+            with mp.workdps(dps):
+                v = mp.mpc(z)
+                return complex(mp.exp(-v * v) * mp.erfc(-1j * v))
+
+        z = self.far_points(core.DEFAULT_N)
+        # the phase of e^{-z^2} needs the digits of |z|^2 beyond the 30
+        dps = [30 + 2 * math.ceil(math.log10(abs(v))) for v in z]
+        want = np.array([w_mp(v, d) for v, d in zip(z, dps)])
+        assert np.array_equal(want, [w_mp(v, 2 * d) for v, d in zip(z, dps)])
+        got = core.w_plane(z, core.DEFAULT_N)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 2e-15
+
+    def test_conjugate_symmetry(self):
+        z = self.far_points(core.DEFAULT_N)
+        assert _bits(core.w_plane(-np.conj(z), 11)) == _bits(np.conj(core.w_plane(z, 11)))
+
+    def test_coefficients_built_on_first_far_point(self):
+        core._laurent_coeffs.cache_clear()
+        core.w_plane(np.array([1.5 + 0.5j, 3.2 + 0.1j, 40 + 30j]), 11)
+        assert core._laurent_coeffs.cache_info().currsize == 0
+        core.w_plane(30 + 90j, 11)
+        assert core._laurent_coeffs.cache_info().currsize == 1
+
+    def test_term_counts(self):
+        counts = {
+            trap: [len(core._laurent_coeffs(n, trap)) for n in range(core.N_MAX + 1)]
+            for trap in (False, True)
+        }
+        assert counts[False][core.DEFAULT_N] == counts[True][core.DEFAULT_N] == 6
+        assert set(counts[False]) <= {5, 6}
+        # the trapezoidal sum of order 0 has no nodes: ih/(pi z) alone
+        assert counts[True][0] == 1 and set(counts[True][1:]) <= {5, 6}
+
+    def test_coefficients_against_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        n = core.DEFAULT_N
+        with mp.workdps(50):
+            h = mp.sqrt(mp.pi / (n + 1))
+            for trap, nodes in ((False, [(k + mp.mpf(1) / 2) * h for k in range(n + 1)]),
+                                (True, [k * h for k in range(1, n + 1)])):
+                c = core._laurent_coeffs(n, trap)
+                for j, cj in enumerate(c):
+                    mu = 2 * h / mp.pi * mp.fsum(mp.exp(-t * t) * t ** (2 * j) for t in nodes)
+                    if trap and j == 0:
+                        mu += h / mp.pi
+                    want = float((-1) ** j * mu)
+                    assert abs(cj - want) <= abs(want) * 2.0**-52, (trap, j)
+        # mu_0 is FAR's c: i c/z is the series' first term
+        assert core._laurent_coeffs(n, False)[0] == pytest.approx(P11.c, rel=2.0**-52)
 
 
 class TestSelectBranch:
@@ -363,10 +483,18 @@ class TestPlane:
         st.floats(min_value=0.0, max_value=50.0),
         st.floats(min_value=0.0, max_value=50.0),
     )
+    @example(0.0, 0.0)
+    @example(0.0, 0.05)
+    @example(0.0, 2.0)
+    @example(0.0, 10.0)
+    @example(5e-324, 2.0)
     @settings(max_examples=150)
     def test_conjugate_symmetry_property(self, x, y):
-        z = complex(x, y)
-        assert core.w_plane(-np.conj(z), 11) == np.conj(core.w_plane(z, 11))
+        # compared by bits: on the imaginary axis, and where Im w underflows,
+        # the two sides differ only in the sign of a zero imaginary part
+        z = np.array([complex(x, y), complex(-x, y)])
+        a = np.asarray(core.w_plane(-np.conj(z), 11))
+        assert _bits(a) == _bits(np.conj(core.w_plane(z, 11)))
 
 
 def _bits(a):

@@ -18,8 +18,10 @@ for info in pkgutil.iter_modules(faddeeva.__path__):
     importlib.import_module("faddeeva." + info.name)
 from faddeeva import cli
 print(faddeeva.w(1 + 1j))
-# a point within h/4 of 0 builds the Maclaurin coefficients of its order
+# a point within h/4 of 0 builds the Maclaurin coefficients of its order,
+# and a point beyond |z| = 64 the Laurent coefficients
 print(faddeeva.w(0.01 + 0.01j))
+print(faddeeva.w(30 + 90j))
 sys.exit(cli.main(["eval", "--re", "1", "--im", "1", "--method", "weideman"]))
 """
 
@@ -34,4 +36,5 @@ def test_numpy_only():
     lines = run.stdout.splitlines()
     assert complex(lines[0]) == faddeeva.w(1 + 1j)
     assert complex(lines[1]) == faddeeva.w(0.01 + 0.01j)
-    assert lines[2].endswith("[weideman(40)]")
+    assert complex(lines[2]) == faddeeva.w(30 + 90j)
+    assert lines[3].endswith("[weideman(40)]")

@@ -29,9 +29,12 @@ def test_tracer_finds_and_counts_every_layer(monkeypatch):
         tracer = tracing.Tracer(rec).install()
         try:
             assert tracer.absent == []
-            # 0.05 + 0.05j is an MM point within h/4 of 0: binary64 sums it by
-            # the rule's Maclaurin series, with no node sum and no correction
-            z = np.array([0.5 + 9.0j, 3.2 + 0.1j, 1.0 + 1.0j, -2.0 - 0.5j, 0.05 + 0.05j])
+            # 0.05 + 0.05j is an MM point within h/4 of 0, and 30 + 90j an M
+            # point beyond |z| = 64: binary64 sums them by the rules' Maclaurin
+            # and Laurent series, with no node sum and no correction
+            z = np.array(
+                [0.5 + 9.0j, 3.2 + 0.1j, 1.0 + 1.0j, -2.0 - 0.5j, 0.05 + 0.05j, 30.0 + 90.0j]
+            )
             faddeeva.w(z)
             c = rec.counts.copy()
             # the oracle runs core's dispatch and fold: one point per quadrant
@@ -48,8 +51,8 @@ def test_tracer_finds_and_counts_every_layer(monkeypatch):
 
     n = core.DEFAULT_N
     m, mt, mm = (c[f"core.branch.{t}"] for t in ("M", "MT", "MM"))
-    assert (m, mt, mm) == (1, 1, 3)
-    assert c["core.node_sum.terms"] == (m + mm - 1) * (n + 1) + mt * n
-    # one correction per corrected point, none for M or the series point
+    assert (m, mt, mm) == (2, 1, 3)
+    assert c["core.node_sum.terms"] == (m - 1 + mm - 1) * (n + 1) + mt * n
+    # one correction per corrected point, none for M or the series points
     assert c["core.correction.points"] == c["core.correction.computed"] == mt + mm - 1
     assert c["core.plane.reflected_points"] == 1
