@@ -126,6 +126,55 @@ class TestCriterion1DefaultOrderAccuracy:
         )
 
 
+class TestIndependentWitnesses:
+    """w on the polar grid against references that share none of its code.
+
+    The oracle runs w's own dispatch, masks, corrections and reflection, so
+    criterion 1 cannot see a fault the two arithmetics share; scipy's wofz
+    (S. G. Johnson's Faddeeva Package) and mpmath can."""
+
+    def test_scipy_full_polar_grid(self, polar_grid):
+        sp = pytest.importorskip("scipy.special")
+        tol = rel_bound(11) + 1e-13
+        want = sp.wofz(polar_grid)
+        rel = np.abs(core.w_plane(polar_grid, 11) - want) / np.abs(want)
+        i = int(np.argmax(rel))
+        record(
+            rel[i] <= tol,
+            f"witness (scipy wofz, full polar grid, {polar_grid.size:,} pts)",
+            f"max rel diff {rel[i]:.3e} at {polar_grid[i]:.4g} <= {tol:.3e}",
+        )
+
+    def test_mpmath_polar_subsample(self, polar_grid):
+        mp = pytest.importorskip("mpmath")
+        z = polar_grid[::1000]
+        got = core.w_plane(z, 11)
+        dps = 40
+
+        def reference(zj, digits):
+            with mp.workdps(digits):
+                v = mp.mpc(zj)
+                return mp.exp(-v * v) * mp.erfc(-1j * v)
+
+        aerr = np.empty(z.size)
+        rerr = np.empty(z.size)
+        confirm = 0.0
+        for j, zj in enumerate(z):
+            ref, check = reference(zj, dps), reference(zj, 2 * dps)
+            with mp.workdps(2 * dps):
+                confirm = max(confirm, float(abs(ref - check) / abs(check)))
+                aerr[j] = float(abs(mp.mpc(got[j]) - check))
+                rerr[j] = float(aerr[j] / abs(check))
+        ai, ri = int(np.argmax(aerr)), int(np.argmax(rerr))
+        record(
+            aerr[ai] < 2e-15 and rerr[ri] < 2e-15 and confirm < 1e-30,
+            f"witness (mpmath, polar grid 1-in-1000, {z.size:,} pts)",
+            f"max abs {aerr[ai]:.3e} at {z[ai]:.4g} < 2e-15; "
+            f"max rel {rerr[ri]:.3e} at {z[ri]:.4g} < 2e-15; "
+            f"{dps} vs {2 * dps} digits {confirm:.1e} < 1e-30",
+        )
+
+
 class TestCriterion2BoundSuite:
     def test_binary64_orders(self, binary64_sweep):
         floor = 4e-15
