@@ -16,10 +16,12 @@ from __future__ import annotations
 import enum
 import functools
 import math
+from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .ddouble import DD, PI, _by_parts, dd_exp, dd_sqrt, dd_sum
 from .errors import DomainError, ParameterError
 
 N_MAX = 25
@@ -45,9 +47,26 @@ class BranchTag(enum.Enum):
     FAR = "FAR"  # i c/z, at and above the far-field cut
 
 
+class DDParams(NamedTuple):
+    """The constants of order N in double-double, as EvalParams.dd holds
+    them: ``mid`` and ``trap`` are the arrays (node^2, e^{-node^2}) of the
+    midpoint and the trapezoidal nodes, k = N first, and
+    c = (2h/pi) sum_k e^{-t_k^2} is summed in that order."""
+
+    h: DD
+    two_h_over_pi: DD
+    h_over_pi: DD
+    pi_over_h: DD
+    mid: tuple
+    trap: tuple
+    c: DD
+
+
 class EvalParams(NamedTuple):
     """The constants of the rules of order N, built once per order by _params.
 
+    ``dd`` holds them in double-double; every binary64 field is the leading
+    word of its double-double value, the constant correctly rounded.
     ``mid`` and ``trap`` hold the pairs (node^2, (2h/pi) e^{-node^2}) of the
     midpoint nodes t_k = (k+1/2)h, k = N..0, and the trapezoidal nodes
     tau_k = kh, k = N..1, in the order the node sum takes them; ``c`` is the
@@ -56,9 +75,12 @@ class EvalParams(NamedTuple):
 
     n: int
     h: float
+    h_over_pi: float
+    pi_over_h: float
     mid: tuple
     trap: tuple
     c: float
+    dd: DDParams
 
 
 def _params(n) -> EvalParams:
@@ -71,16 +93,32 @@ def _params(n) -> EvalParams:
 
 @functools.lru_cache(maxsize=None)
 def _order_constants(n: int) -> EvalParams:
-    h = math.sqrt(math.pi / (n + 1))
-    scale = 2.0 * h / np.pi
+    """The constants of order n in double-double, and their leading words.
+    Each node t = h (k + 1/2) or h k is squared in double-double, and c is
+    summed term by term, k = N first."""
+    pi = DD.from_pair(PI)
+    h = dd_sqrt(pi / float(n + 1))
+    two_h_over_pi = (h * 2.0) / pi
 
-    def pairs(nodes):
-        weights = scale * np.exp(-nodes * nodes)
-        return tuple(zip((nodes * nodes).tolist()[::-1], weights.tolist()[::-1]))
+    def nodes(k):
+        t = h * k
+        t2 = t * t
+        return t2, dd_exp(-t2)
 
-    t = (np.arange(n + 1) + 0.5) * h
-    c = scale * math.fsum(np.exp(-t * t).tolist())
-    return EvalParams(n, h, pairs(t), pairs(np.arange(1, n + 1) * h), c)
+    mid = nodes(np.arange(n, -1, -1) + 0.5)
+    trap = nodes(np.arange(n, 0, -1, dtype=np.float64))
+    c = mid[1][0]
+    for k in range(1, n + 1):
+        c = c + mid[1][k]
+    dd = DDParams(h, two_h_over_pi, h / pi, dd_sqrt(pi * float(n + 1)), mid, trap, c * two_h_over_pi)
+
+    def pairs(t2, e):
+        return tuple(zip(t2.hi.tolist(), (e * two_h_over_pi).hi.tolist()))
+
+    return EvalParams(
+        n, float(h.hi), float(dd.h_over_pi.hi), float(dd.pi_over_h.hi),
+        pairs(*mid), pairs(*trap), float(dd.c.hi), dd,
+    )
 
 
 def _as_xy(z):
@@ -157,7 +195,7 @@ def _trap_sum_raw(x, p: EvalParams, y, a, b):
     # ih/(pi z) = (h/pi)(y + ix)/|z|^2
     r = x * x
     r += y * y
-    np.divide(p.h / np.pi, r, out=r)
+    np.divide(p.h_over_pi, r, out=r)
     w.real += y * r
     w.imag += x * r
     return w
@@ -171,7 +209,7 @@ def _corrections(x, p: EvalParams, y, a, b, tag: BranchTag):
     for Im(z) >= 0, so the exponential never overflows:
     the MM correction is 2 e^{-z^2} q/(1+q), the MT one 2 e^{-z^2} q/(q-1).
     """
-    two_pi_over_h = 2.0 * np.pi / p.h
+    two_pi_over_h = 2.0 * p.pi_over_h
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
         ez2 = np.empty(x.shape, dtype=np.complex128)
         np.negative(a, out=ez2.real)
@@ -237,7 +275,7 @@ def _add_correction(w, a, y, p: EvalParams, tag: BranchTag, correction):
     if tag is BranchTag.M:
         return w
     # the exponent is -(a + 2 pi y/h)
-    decay = np.multiply(y, 2.0 * np.pi / p.h)
+    decay = np.multiply(y, 2.0 * p.pi_over_h)
     decay += a
     return _add_live(w, decay, correction)
 
@@ -319,23 +357,6 @@ _SERIES_TAIL = 2.0 ** -60
 _LAURENT = 64.0
 
 
-def _dd_nodes(n: int, trap: bool):
-    """The nodes of order n as double-double arrays node_k^2 and e_k =
-    (2h/pi) e^{-node_k^2}, from the oracle's constants, k = N first: the
-    midpoint nodes t_k, or with ``trap`` the trapezoidal nodes tau_k."""
-    from .ddouble import DD
-    # imported here: oracle imports core
-    from .oracle import _dd_params
-
-    two_h_over_pi, _, _, mid, trap_pairs, _ = _dd_params(n)
-    pairs = trap_pairs if trap else mid
-
-    def words(values):
-        return DD(np.array([v.hi for v in values]), np.array([v.lo for v in values]))
-
-    return words([t for t, _ in pairs]), words([e for _, e in pairs]) * two_h_over_pi
-
-
 def _horner(s, c):
     """sum_j c_j s^j at complex points s for real coefficients c_0, c_1, ...,
     by Horner's rule.  Complex products get outputs that alias no input
@@ -370,17 +391,12 @@ def _maclaurin_coeffs(n: int) -> tuple:
 
     for tan u = sum_j T_j u^{2j+1}.  Both sums grow like (2/h)^{2m} and
     cancel to about 1/Gamma(m + 3/2), so they are formed in double-double,
-    from the oracle's constants and the T_j as exact rationals (from
+    from EvalParams.dd and the T_j as exact rationals (from
     tan' = 1 + tan^2).  Each part keeps its terms while they can reach
     _SERIES_TAIL on the disk |z| < h/4, where |w| > 0.6 at every order;
     from there on each term is more than 30 times smaller than the one
     before it.
     """
-    from fractions import Fraction
-
-    from .ddouble import DD, dd_sum
-    from .oracle import _dd_params
-
     def dd_array(values):
         return DD(np.array([v.hi for v in values]), np.array([v.lo for v in values]))
 
@@ -388,13 +404,15 @@ def _maclaurin_coeffs(n: int) -> tuple:
         hi = float(q)
         return DD(hi, float(q - Fraction(hi)))
 
-    r = _params(n).h / 4.0
+    p = _params(n)
+    r = p.h / 4.0
     even = []  # c_{2m+1}
     while r ** (2 * len(even) + 2) / math.factorial(len(even) + 1) >= _SERIES_TAIL:
         even.append(1.0 / math.factorial(len(even) + 1))
 
-    pi_over_h = _dd_params(n)[2]
-    t2, e = _dd_nodes(n, trap=False)
+    pi_over_h = p.dd.pi_over_h
+    t2, e = p.dd.mid
+    e = e * p.dd.two_h_over_pi
     pi2 = pi_over_h * pi_over_h
     tan = [Fraction(0), Fraction(1)]  # tan u = sum_k tan[k] u^k
     pi_pows = [pi_over_h]  # (pi/h)^{2j+1}, j = 0..m
@@ -453,23 +471,21 @@ def _laurent_coeffs(n: int, trap: bool) -> tuple:
     z^{-2j} = (-u)^j.  mu_0 is FAR's c, so i c/z is the first term.  The
     trapezoidal sum has the moments of its nodes tau_k = kh, k = 1..N, and
     its mu_0 also takes the h/pi of ih/(pi z).  The moments are summed in
-    double-double from the oracle's constants.  As |w| is about mu_0/|z|
+    double-double from EvalParams.dd.  As |w| is about mu_0/|z|
     there, a term is kept while mu_j/_LAURENT^{2j} >= _SERIES_TAIL mu_0;
     each later one is more than 4096/78.5 = 52 times smaller (t_k^2 <= 78.5
     at N <= 25).
     """
-    from .ddouble import dd_sum
-    from .oracle import _dd_params
-
-    h_over_pi = _dd_params(n)[1]
-    t2, e = _dd_nodes(n, trap)
+    p = _params(n)
+    t2, e = p.dd.trap if trap else p.dd.mid
     if not t2.hi.size:  # the trapezoidal sum of order 0 is ih/(pi z)
-        return (float(h_over_pi.hi),)
+        return (p.h_over_pi,)
+    e = e * p.dd.two_h_over_pi
     c = []
     while True:
         mu = dd_sum(e)
         if trap and not c:
-            mu = mu + h_over_pi
+            mu = mu + p.dd.h_over_pi
         mu = float(mu.hi)
         j = len(c)
         if j and mu < _SERIES_TAIL * c[0] * _LAURENT ** (2 * j):
@@ -538,7 +554,7 @@ def _branch_masks(x, y, p: EvalParams):
     the partition the dispatch runs, one mask set per point.  MT never meets
     FAR, where y < x puts x/h above 2^53, an integer, or NaN at x = inf."""
     far = np.maximum(x, y) >= _FAR
-    m = (y >= np.maximum(x, np.pi / p.h)) & ~far
+    m = (y >= np.maximum(x, p.pi_over_h)) & ~far
     with np.errstate(invalid="ignore", over="ignore"):
         xh = x / p.h
         phi = xh - np.floor(xh)
@@ -674,15 +690,6 @@ def w_plane(z, n: int = DEFAULT_N):
     result overflows to a signed infinity once that exceeds binary64 range.
     """
     return _evaluate(z, _params(n))
-
-
-def _by_parts(re, im):
-    """re + i im as a complex array formed by parts: re + 1j * im makes a NaN
-    of 0 * inf at an infinite im, and turns re = -0 into +0."""
-    z = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), dtype=np.complex128)
-    z.real = re
-    z.imag = im
-    return z
 
 
 def _times_i(z):

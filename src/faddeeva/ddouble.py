@@ -299,6 +299,15 @@ def dd_sincos(a: DD):
     return sin_j * cos_s + cos_j * sin_s, cos_j * cos_s - sin_j * sin_s
 
 
+def _by_parts(re, im):
+    """re + i im as a complex array formed by parts: re + 1j * im makes a NaN
+    of 0 * inf at an infinite im, and turns re = -0 into +0."""
+    z = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), dtype=np.complex128)
+    z.real = re
+    z.imag = im
+    return z
+
+
 class DDComplex:
     """Complex number with double-double real and imaginary parts."""
 
@@ -320,8 +329,9 @@ class DDComplex:
         self.im[idx] = value.im
 
     def to_complex(self):
-        out = (self.re.hi + self.re.lo) + 1j * (self.im.hi + self.im.lo)
-        return complex(out) if np.ndim(out) == 0 else out
+        """hi + lo of each part, formed by parts: a Python complex for 0-d."""
+        out = _by_parts(self.re.hi + self.re.lo, self.im.hi + self.im.lo)
+        return complex(out) if out.ndim == 0 else out
 
     def __neg__(self):
         return DDComplex(-self.re, -self.im)

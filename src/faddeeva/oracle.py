@@ -4,7 +4,9 @@
 it runs the binary64 evaluator's own dispatch and reflection code
 (`core._evaluate`), at order N=20 and with the three quadrature formulas
 and the reflection's e^{-z^2} in double-double. That gives absolute errors
-below 3.5e-28 (relative below 9.4e-27 in the upper half-plane).
+below 3.5e-28 (relative below 9.4e-27 in the upper half-plane). Its
+constants are the double-double values of core's one table of order
+constants (`EvalParams.dd`), whose leading words binary64 reads.
 `erfc_oracle` is core's erfc run on `w_oracle`. The tests certify
 `w_oracle` against an independent Gauss-Legendre quadrature of the Cauchy
 integral that defines w (`tests/certification.py`).
@@ -12,30 +14,13 @@ integral that defines w (`tests/certification.py`).
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from . import core
 from .core import BranchTag
-from .ddouble import DD, DDComplex, PI, _two_prod, dd_exp, dd_sincos, dd_sqrt
+from .ddouble import DD, DDComplex, _two_prod, dd_exp, dd_sincos
 
 ORACLE_N = 20
-
-@functools.lru_cache(maxsize=8)
-def _dd_params(n: int):
-    """2h/pi, h/pi, pi/h, the pairs (node^2, e^{-node^2}) of the midpoint and
-    the trapezoidal nodes, last node first as the node sum takes them, and
-    the far-field constant c = (2h/pi) sum_k e^{-t_k^2} summed in that
-    order, all in DD."""
-    h = dd_sqrt(DD.from_pair(PI) / float(n + 1))
-    pi_over_h = dd_sqrt(DD.from_pair(PI) * float(n + 1))
-    mid = [(tk * tk, dd_exp(-(tk * tk))) for tk in (h * (k + 0.5) for k in range(n, -1, -1))]
-    trap = [(tk * tk, dd_exp(-(tk * tk))) for tk in (h * float(k) for k in range(n, 0, -1))]
-    two_h_over_pi = (h * 2.0) / DD.from_pair(PI)
-    c = sum((e for _, e in mid[1:]), mid[0][1]) * two_h_over_pi
-    return two_h_over_pi, h / DD.from_pair(PI), pi_over_h, mid, trap, c
-
 
 def _z2_dd(x, y):
     """(z^2, x^2, y^2) as exact double-double components from binary64 x, y."""
@@ -68,9 +53,9 @@ def _exp_neg_z2_at(z):
     return _exp_neg_z2_dd(_z2_dd(z.real, z.imag))
 
 
-def _pole_sum_dd(x, y, sq, pairs, two_h_over_pi):
-    """(2ihz/pi) sum_k e_k/(z^2 - node_k^2) over the pairs (node_k^2, e_k), in
-    their order.
+def _pole_sum_dd(x, y, sq, nodes, two_h_over_pi):
+    """(2ihz/pi) sum_k e_k/(z^2 - node_k^2) over the arrays ``nodes`` =
+    (node_k^2, e_k), in their order.
 
     With z^2 = A + iB and a_k = A - node_k^2, each term is
     e_k (a_k - iB)/(a_k^2 + B^2), so the sum is S1 - iB S0 for the
@@ -80,32 +65,32 @@ def _pole_sum_dd(x, y, sq, pairs, two_h_over_pi):
     b2 = z2.im * z2.im
     s0 = DD(np.zeros(x.shape))
     s1 = DD(np.zeros(x.shape))
-    for t2, e in pairs:
-        a = z2.re - t2
-        s = e / (a * a + b2)
+    t2, e = nodes
+    for k in range(t2.hi.size):
+        a = z2.re - t2[k]
+        s = e[k] / (a * a + b2)
         s0 = s0 + s
         s1 = s1 + s * a
     # prefactor (2ih/pi) z = (2h/pi)(-y + ix)
     return DDComplex(two_h_over_pi * (-y), two_h_over_pi * x) * DDComplex(s1, -(z2.im * s0))
 
 
-def _mid_sum_dd(x, y, sq, n):
-    c, _, _, mid, _, _ = _dd_params(n)
-    return _pole_sum_dd(x, y, sq, mid, c)
+def _mid_sum_dd(x, y, sq, p: core.EvalParams):
+    return _pole_sum_dd(x, y, sq, p.dd.mid, p.dd.two_h_over_pi)
 
 
-def _trap_sum_dd(x, y, sq, n):
-    c, c2, _, _, trap, _ = _dd_params(n)
+def _trap_sum_dd(x, y, sq, p: core.EvalParams):
+    h_over_pi = p.dd.h_over_pi
     _, x2, y2 = sq
     # ih/(pi z) = (h/pi) (y + ix)/|z|^2
     r2 = x2 + y2
-    extra = DDComplex((c2 * y) / r2, (c2 * x) / r2)
-    return _pole_sum_dd(x, y, sq, trap, c) + extra
+    extra = DDComplex((h_over_pi * y) / r2, (h_over_pi * x) / r2)
+    return _pole_sum_dd(x, y, sq, p.dd.trap, p.dd.two_h_over_pi) + extra
 
 
-def _corrections_dd(x, y, sq, n, tag):
+def _corrections_dd(x, y, sq, p: core.EvalParams, tag):
     """Residue correction (MM or MT) via q = exp(2 i pi z / h), |q| <= 1."""
-    poh = _dd_params(n)[2]
+    poh = p.dd.pi_over_h
     mag = dd_exp(poh * (-2.0) * y)
     s, c = dd_sincos(poh * 2.0 * x)
     q = DDComplex(mag * c, mag * s)
@@ -119,19 +104,18 @@ def _w_q1_dd(x, y, p: core.EvalParams, tag: BranchTag):
     if tag is BranchTag.FAR:
         return _far_dd(x, y, p)
     sq = _z2_dd(x, y)
-    w = _trap_sum_dd(x, y, sq, p.n) if tag is BranchTag.MT else _mid_sum_dd(x, y, sq, p.n)
+    w = _trap_sum_dd(x, y, sq, p) if tag is BranchTag.MT else _mid_sum_dd(x, y, sq, p)
     return core._add_correction(
         w, sq[0].re.hi, y, p, tag,
-        lambda i: _corrections_dd(x[i], y[i], tuple(v[i] for v in sq), p.n, tag),
+        lambda i: _corrections_dd(x[i], y[i], tuple(v[i] for v in sq), p, tag),
     )
 
 
 def _far_dd(x, y, p: core.EvalParams) -> DDComplex:
     """i c/z on the FAR points, as core._far, in double-double;
     the squares of the scaled planes cannot overflow the Dekker split."""
-    c = _dd_params(p.n)[5]
     u, v, e = core._far_scale(x, y)
-    s = c / (DD(*_two_prod(u, u)) + DD(*_two_prod(v, v)))
+    s = p.dd.c / (DD(*_two_prod(u, u)) + DD(*_two_prod(v, v)))
     return DDComplex(*(DD(np.ldexp(r.hi, -e), np.ldexp(r.lo, -e)) for r in (s * v, s * u)))
 
 

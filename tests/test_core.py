@@ -26,10 +26,6 @@ class TestStepSize:
         assert core.step_size(11) == pytest.approx(0.5116633539, abs=1e-10)
         assert core.step_size(20) == pytest.approx(0.3867811399, abs=1e-10)
 
-    def test_single_rounding(self):
-        for n in range(core.N_MAX + 1):
-            assert core.step_size(n) == math.sqrt(math.pi / (n + 1))
-
     @pytest.mark.parametrize("n", [-1, 26, 1000])
     def test_out_of_range(self, n):
         with pytest.raises(ParameterError):
@@ -42,18 +38,34 @@ class TestStepSize:
 
 
 class TestEvalParams:
-    def test_nodes(self):
-        # the pairs (node^2, (2h/pi) e^{-node^2}), last node first
-        p = core._params(3)
-        h = p.h
-        assert (p.n, h) == (3, core.step_size(3))
-        t = [(k + 0.5) * h for k in (3, 2, 1, 0)]
-        tau = [k * h for k in (3, 2, 1)]
-        for pairs, nodes in ((p.mid, t), (p.trap, tau)):
-            t2, e = np.array(pairs).T
-            np.testing.assert_allclose(t2, np.square(nodes), rtol=1e-15)
-            np.testing.assert_allclose(e, 2 * h / math.pi * np.exp(-np.square(nodes)), rtol=1e-15)
-        assert p.c == 2 * h / np.pi * math.fsum(np.exp(-np.square(t)).tolist())
+    def test_correctly_rounded(self):
+        # every binary64 constant is the leading word of its double-double
+        # value and lies within half an ulp of the exact constant; the pairs
+        # (node^2, (2h/pi) e^{-node^2}) take the last node first
+        mp = pytest.importorskip("mpmath")
+
+        def check(got, dd, exact):
+            assert got == dd.hi
+            assert abs(mp.mpf(got) - exact) <= mp.mpf(np.spacing(got)) / 2
+
+        with mp.workdps(50):
+            for n in range(core.N_MAX + 1):
+                p, dd = core._params(n), core._params(n).dd
+                assert (p.n, p.h) == (n, core.step_size(n))
+                h = mp.sqrt(mp.pi / (n + 1))
+                check(p.h, dd.h, h)
+                check(p.h_over_pi, dd.h_over_pi, h / mp.pi)
+                check(p.pi_over_h, dd.pi_over_h, mp.pi / h)
+                mid = [k + mp.mpf(0.5) for k in range(n, -1, -1)]
+                trap = [mp.mpf(k) for k in range(n, 0, -1)]
+                for pairs, (t2_dd, e_dd), ks in ((p.mid, dd.mid, mid), (p.trap, dd.trap, trap)):
+                    assert len(pairs) == len(ks)
+                    w_dd = e_dd * dd.two_h_over_pi
+                    for j, ((t2, w), k) in enumerate(zip(pairs, ks)):
+                        check(t2, t2_dd[j], (k * h) ** 2)
+                        check(w, w_dd[j], 2 * h / mp.pi * mp.exp(-((k * h) ** 2)))
+                c = sum(2 * h / mp.pi * mp.exp(-((k * h) ** 2)) for k in mid)
+                check(p.c, dd.c, c)
 
     def test_cached(self):
         assert core._params(7) is core._params(7) is core._params(np.int64(7))

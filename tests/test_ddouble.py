@@ -173,6 +173,23 @@ class TestReductions:
             assert (s.hi[i], s.lo[i]) == (row.hi, row.lo)
 
 
+@pytest.mark.parametrize("shape", [(), (3,)])
+def test_to_complex_by_parts(shape):
+    # re + 1j * im would turn Im -0 into +0 and give an infinite Im a NaN
+    # real part
+    def part(v):
+        return DD(np.full(shape, v), np.full(shape, math.copysign(0.0, v)))
+
+    got = [DDComplex(part(0.25), part(-0.0)).to_complex(),
+           DDComplex(part(1.0), part(np.inf)).to_complex()]
+    if shape:
+        got = [v[-1] for v in got]
+    else:
+        assert all(type(v) is complex for v in got)
+    assert got[0] == 0.25 and math.copysign(1.0, got[0].imag) == -1.0
+    assert got[1].real == 1.0 and got[1].imag == np.inf
+
+
 class TestAgainstMpmath:
     """The elementary kernels and their constants against mpmath at 200 bits."""
 

@@ -14,14 +14,16 @@ for name in ("scipy", "mpmath", "hypothesis", "pytest"):
     sys.modules[name] = None
 import importlib, pkgutil
 import faddeeva
-for info in pkgutil.iter_modules(faddeeva.__path__):
-    importlib.import_module("faddeeva." + info.name)
-from faddeeva import cli
 print(faddeeva.w(1 + 1j))
 # a point within h/4 of 0 builds the Maclaurin coefficients of its order,
 # and a point beyond |z| = 64 the Laurent coefficients
 print(faddeeva.w(0.01 + 0.01j))
 print(faddeeva.w(30 + 90j))
+# binary64 w runs without the double-double oracle
+assert "faddeeva.oracle" not in sys.modules
+for info in pkgutil.iter_modules(faddeeva.__path__):
+    importlib.import_module("faddeeva." + info.name)
+from faddeeva import cli
 sys.exit(cli.main(["eval", "--re", "1", "--im", "1", "--method", "weideman"]))
 """
 
