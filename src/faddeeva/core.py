@@ -16,7 +16,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -397,6 +396,10 @@ def _maclaurin_coeffs(n: int) -> tuple:
     from there on each term is more than 30 times smaller than the one
     before it.
     """
+    # imported here, not at the top: a fresh start that meets no point of
+    # the disk does not pay for the module
+    from fractions import Fraction
+
     def dd_array(values):
         return DD(np.array([v.hi for v in values]), np.array([v.lo for v in values]))
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import faddeeva
 from faddeeva import core, oracle, reference
 from faddeeva.bounds import abs_bound
+from faddeeva.ddouble import DD, PI, dd_exp, dd_sqrt
 from faddeeva.errors import DomainError, ParameterError
 from faddeeva.oracle import erfc_oracle, w_oracle
 
@@ -66,6 +67,29 @@ class TestEvalParams:
                         check(w, w_dd[j], 2 * h / mp.pi * mp.exp(-((k * h) ** 2)))
                 c = sum(2 * h / mp.pi * mp.exp(-((k * h) ** 2)) for k in mid)
                 check(p.c, dd.c, c)
+
+    @pytest.mark.parametrize("n", [0, 11, 20, 25])
+    def test_dd_table_matches_scalar_build(self, n):
+        # the table's node work runs on arrays; node by node in scalar
+        # double-double it gives the same words, so the oracle's do not move
+        dd = core._params(n).dd
+        pi = DD.from_pair(PI)
+        h = dd_sqrt(pi / float(n + 1))
+
+        def same(a, b):
+            return (a.hi, a.lo) == (b.hi, b.lo)
+
+        def scalar_nodes(ks):
+            return [(tk * tk, dd_exp(-(tk * tk))) for tk in (h * k for k in ks)]
+
+        mid = scalar_nodes([k + 0.5 for k in range(n, -1, -1)])
+        trap = scalar_nodes([float(k) for k in range(n, 0, -1)])
+        for (t2, e), pairs in ((dd.mid, mid), (dd.trap, trap)):
+            assert t2.hi.size == len(pairs)
+            for j, (t2_k, e_k) in enumerate(pairs):
+                assert same(t2[j], t2_k) and same(e[j], e_k)
+        c = sum((e for _, e in mid[1:]), mid[0][1]) * ((h * 2.0) / pi)
+        assert same(dd.c, c)
 
     def test_cached(self):
         assert core._params(7) is core._params(7) is core._params(np.int64(7))
