@@ -48,9 +48,9 @@ class BranchTag(enum.Enum):
 
 class DDParams(NamedTuple):
     """The constants of order N in double-double, as EvalParams.dd holds
-    them: ``mid`` and ``trap`` are the arrays (node^2, e^{-node^2}) of the
-    midpoint and the trapezoidal nodes, k = N first, and
-    c = (2h/pi) sum_k e^{-t_k^2} is summed in that order."""
+    them: ``mid`` and ``trap`` are the arrays (node^2, e^{-node^2},
+    (2h/pi) e^{-node^2}) of the midpoint and the trapezoidal nodes, k = N
+    first, and c = (2h/pi) sum_k e^{-t_k^2} is summed in that order."""
 
     h: DD
     two_h_over_pi: DD
@@ -92,9 +92,8 @@ def _params(n) -> EvalParams:
 
 @functools.lru_cache(maxsize=None)
 def _order_constants(n: int) -> EvalParams:
-    """The constants of order n in double-double, and their leading words.
-    Each node t = h (k + 1/2) or h k is squared in double-double, and c is
-    summed term by term, k = N first."""
+    """The constants of order n in double-double, and their leading words;
+    c is summed term by term, k = N first."""
     pi = DD.from_pair(PI)
     h = dd_sqrt(pi / float(n + 1))
     two_h_over_pi = (h * 2.0) / pi
@@ -102,7 +101,8 @@ def _order_constants(n: int) -> EvalParams:
     def nodes(k):
         t = h * k
         t2 = t * t
-        return t2, dd_exp(-t2)
+        e = dd_exp(-t2)
+        return t2, e, e * two_h_over_pi
 
     mid = nodes(np.arange(n, -1, -1) + 0.5)
     trap = nodes(np.arange(n, 0, -1, dtype=np.float64))
@@ -110,13 +110,9 @@ def _order_constants(n: int) -> EvalParams:
     for k in range(1, n + 1):
         c = c + mid[1][k]
     dd = DDParams(h, two_h_over_pi, h / pi, dd_sqrt(pi * float(n + 1)), mid, trap, c * two_h_over_pi)
-
-    def pairs(t2, e):
-        return tuple(zip(t2.hi.tolist(), (e * two_h_over_pi).hi.tolist()))
-
+    mid, trap = (tuple(zip(t2.hi.tolist(), w.hi.tolist())) for t2, _, w in (mid, trap))
     return EvalParams(
-        n, float(h.hi), float(dd.h_over_pi.hi), float(dd.pi_over_h.hi),
-        pairs(*mid), pairs(*trap), float(dd.c.hi), dd,
+        n, float(h.hi), float(dd.h_over_pi.hi), float(dd.pi_over_h.hi), mid, trap, float(dd.c.hi), dd
     )
 
 
@@ -396,9 +392,7 @@ def _maclaurin_coeffs(n: int) -> tuple:
     from there on each term is more than 30 times smaller than the one
     before it.
     """
-    # imported here, not at the top: a fresh start that meets no point of
-    # the disk does not pay for the module
-    from fractions import Fraction
+    from fractions import Fraction  # here: a fresh start need not import it
 
     def dd_array(values):
         return DD(np.array([v.hi for v in values]), np.array([v.lo for v in values]))
@@ -414,8 +408,7 @@ def _maclaurin_coeffs(n: int) -> tuple:
         even.append(1.0 / math.factorial(len(even) + 1))
 
     pi_over_h = p.dd.pi_over_h
-    t2, e = p.dd.mid
-    e = e * p.dd.two_h_over_pi
+    t2, _, e = p.dd.mid
     pi2 = pi_over_h * pi_over_h
     tan = [Fraction(0), Fraction(1)]  # tan u = sum_k tan[k] u^k
     pi_pows = [pi_over_h]  # (pi/h)^{2j+1}, j = 0..m
@@ -480,10 +473,9 @@ def _laurent_coeffs(n: int, trap: bool) -> tuple:
     at N <= 25).
     """
     p = _params(n)
-    t2, e = p.dd.trap if trap else p.dd.mid
+    t2, _, e = p.dd.trap if trap else p.dd.mid
     if not t2.hi.size:  # the trapezoidal sum of order 0 is ih/(pi z)
         return (p.h_over_pi,)
-    e = e * p.dd.two_h_over_pi
     c = []
     while True:
         mu = dd_sum(e)

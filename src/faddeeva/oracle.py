@@ -55,7 +55,7 @@ def _exp_neg_z2_at(z):
 
 def _pole_sum_dd(x, y, sq, nodes, two_h_over_pi):
     """(2ihz/pi) sum_k e_k/(z^2 - node_k^2) over the arrays ``nodes`` =
-    (node_k^2, e_k), in their order.
+    (node_k^2, e_k, ...), in their order.
 
     With z^2 = A + iB and a_k = A - node_k^2, each term is
     e_k (a_k - iB)/(a_k^2 + B^2), so the sum is S1 - iB S0 for the
@@ -65,7 +65,7 @@ def _pole_sum_dd(x, y, sq, nodes, two_h_over_pi):
     b2 = z2.im * z2.im
     s0 = DD(np.zeros(x.shape))
     s1 = DD(np.zeros(x.shape))
-    t2, e = nodes
+    t2, e = nodes[:2]
     for k in range(t2.hi.size):
         a = z2.re - t2[k]
         s = e[k] / (a * a + b2)

@@ -59,9 +59,8 @@ class TestEvalParams:
                 check(p.pi_over_h, dd.pi_over_h, mp.pi / h)
                 mid = [k + mp.mpf(0.5) for k in range(n, -1, -1)]
                 trap = [mp.mpf(k) for k in range(n, 0, -1)]
-                for pairs, (t2_dd, e_dd), ks in ((p.mid, dd.mid, mid), (p.trap, dd.trap, trap)):
+                for pairs, (t2_dd, e_dd, w_dd), ks in ((p.mid, dd.mid, mid), (p.trap, dd.trap, trap)):
                     assert len(pairs) == len(ks)
-                    w_dd = e_dd * dd.two_h_over_pi
                     for j, ((t2, w), k) in enumerate(zip(pairs, ks)):
                         check(t2, t2_dd[j], (k * h) ** 2)
                         check(w, w_dd[j], 2 * h / mp.pi * mp.exp(-((k * h) ** 2)))
@@ -84,10 +83,11 @@ class TestEvalParams:
 
         mid = scalar_nodes([k + 0.5 for k in range(n, -1, -1)])
         trap = scalar_nodes([float(k) for k in range(n, 0, -1)])
-        for (t2, e), pairs in ((dd.mid, mid), (dd.trap, trap)):
+        for (t2, e, w), pairs in ((dd.mid, mid), (dd.trap, trap)):
             assert t2.hi.size == len(pairs)
             for j, (t2_k, e_k) in enumerate(pairs):
                 assert same(t2[j], t2_k) and same(e[j], e_k)
+                assert same(w[j], e_k * ((h * 2.0) / pi))
         c = sum((e for _, e in mid[1:]), mid[0][1]) * ((h * 2.0) / pi)
         assert same(dd.c, c)
 
