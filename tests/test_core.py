@@ -21,11 +21,30 @@ def oracle_c(z):
     return w_oracle(np.asarray(z, dtype=np.complex128)).to_complex()
 
 
+def assert_leading_word(mp, got, dd, exact):
+    """``got`` is the leading word of ``dd`` and within half an ulp of ``exact``."""
+    assert got == dd.hi
+    assert abs(mp.mpf(got) - exact) <= mp.mpf(np.spacing(got)) / 2
+
+
 class TestStepSize:
     def test_examples(self):
         assert core.step_size(0) == pytest.approx(1.7724538509, abs=1e-10)
         assert core.step_size(11) == pytest.approx(0.5116633539, abs=1e-10)
         assert core.step_size(20) == pytest.approx(0.3867811399, abs=1e-10)
+
+    def test_single_rounding(self):
+        # h, h/pi and pi/h are the leading words of their double-double values
+        # and each the single rounding of the exact constant
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            for n in range(core.N_MAX + 1):
+                p, dd = core._params(n), core._params(n).dd
+                assert core.step_size(n) == p.h
+                h = mp.sqrt(mp.pi / (n + 1))
+                assert_leading_word(mp, p.h, dd.h, h)
+                assert_leading_word(mp, p.h_over_pi, dd.h_over_pi, h / mp.pi)
+                assert_leading_word(mp, p.pi_over_h, dd.pi_over_h, mp.pi / h)
 
     @pytest.mark.parametrize("n", [-1, 26, 1000])
     def test_out_of_range(self, n):
@@ -39,33 +58,22 @@ class TestStepSize:
 
 
 class TestEvalParams:
-    def test_correctly_rounded(self):
-        # every binary64 constant is the leading word of its double-double
-        # value and lies within half an ulp of the exact constant; the pairs
-        # (node^2, (2h/pi) e^{-node^2}) take the last node first
+    def test_nodes(self):
+        # the pairs (node^2, (2h/pi) e^{-node^2}), last node first, are the
+        # leading words of their double-double values and correctly rounded
         mp = pytest.importorskip("mpmath")
-
-        def check(got, dd, exact):
-            assert got == dd.hi
-            assert abs(mp.mpf(got) - exact) <= mp.mpf(np.spacing(got)) / 2
-
         with mp.workdps(50):
             for n in range(core.N_MAX + 1):
                 p, dd = core._params(n), core._params(n).dd
-                assert (p.n, p.h) == (n, core.step_size(n))
+                assert p.n == n
                 h = mp.sqrt(mp.pi / (n + 1))
-                check(p.h, dd.h, h)
-                check(p.h_over_pi, dd.h_over_pi, h / mp.pi)
-                check(p.pi_over_h, dd.pi_over_h, mp.pi / h)
                 mid = [k + mp.mpf(0.5) for k in range(n, -1, -1)]
                 trap = [mp.mpf(k) for k in range(n, 0, -1)]
                 for pairs, (t2_dd, e_dd, w_dd), ks in ((p.mid, dd.mid, mid), (p.trap, dd.trap, trap)):
                     assert len(pairs) == len(ks)
                     for j, ((t2, w), k) in enumerate(zip(pairs, ks)):
-                        check(t2, t2_dd[j], (k * h) ** 2)
-                        check(w, w_dd[j], 2 * h / mp.pi * mp.exp(-((k * h) ** 2)))
-                c = sum(2 * h / mp.pi * mp.exp(-((k * h) ** 2)) for k in mid)
-                check(p.c, dd.c, c)
+                        assert_leading_word(mp, t2, t2_dd[j], (k * h) ** 2)
+                        assert_leading_word(mp, w, w_dd[j], 2 * h / mp.pi * mp.exp(-((k * h) ** 2)))
 
     @pytest.mark.parametrize("n", [0, 11, 20, 25])
     def test_dd_table_matches_scalar_build(self, n):

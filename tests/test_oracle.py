@@ -220,6 +220,19 @@ class TestCorrectionSkip:
         assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
 
 
+def test_far_constant_rounds_to_binary64():
+    # the binary64 far constant c = (2h/pi) sum_k e^{-t_k^2} is the leading
+    # word of the oracle's double-double c and within half an ulp of exact
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        for n in range(core.N_MAX + 1):
+            p = core._params(n)
+            h = mp.sqrt(mp.pi / (n + 1))
+            c = sum(2 * h / mp.pi * mp.exp(-(((k + mp.mpf(0.5)) * h) ** 2)) for k in range(n, -1, -1))
+            assert p.c == p.dd.c.hi
+            assert abs(mp.mpf(p.c) - c) <= mp.mpf(np.spacing(p.c)) / 2
+
+
 @pytest.mark.parametrize("x", [0.25, 1.0, 2.0, 4.0])
 def test_erfc_quadrature_monotone_tail(x):
     v = erfc_quadrature(x)
