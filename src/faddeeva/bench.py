@@ -290,7 +290,8 @@ _METHODS = {
 def parse_method(spec_str: str):
     """Parse "trap(N)", "weideman(N)", "cf(n)" or "zaghloul(a,K)" into (label,
     evaluator, rated-domain mask function); omitted trailing arguments take
-    their defaults in _METHODS."""
+    their defaults in _METHODS.  An argument the evaluator refuses raises
+    ParameterError naming the spec."""
     m = _METHOD_RE.match(spec_str)
     if not m or m.group(1) not in _METHODS:
         raise ParameterError(f"unknown method spec {spec_str!r}; known: {', '.join(_METHODS)}")
@@ -302,10 +303,13 @@ def parse_method(spec_str: str):
                              f"{name} takes at most {len(defaults)}")
     try:
         values = [type(d)(a) for d, a in zip(defaults, args)] + list(defaults[len(args):])
+        evaluate = factory(*values)
+        # every evaluator checks its arguments before any work: probe on no points
+        evaluate(np.empty(0, dtype=np.complex128))
     except ValueError as exc:
         raise ParameterError(f"bad argument in method spec {spec_str!r}: {exc}") from None
     shown = ",".join(f"{v:g}" if isinstance(v, float) else str(v) for v in values)
-    return f"{name}({shown})", factory(*values), rated
+    return f"{name}({shown})", evaluate, rated
 
 
 def accuracy_table(methods, grid: GridSpec = GridSpec()) -> list[TableRecord]:

@@ -276,62 +276,39 @@ def _add_correction(w, a, y, p: EvalParams, tag: BranchTag, correction):
 
 
 def _rule(x, y, p: EvalParams, tag: BranchTag):
-    """The part ``tag`` of the dispatch on its points x + iy of the closed
-    upper half-plane, given as float64 planes x and y.
+    """The rule ``tag`` of the dispatch at points x + iy of the closed upper
+    half-plane below FAR's cut, or FAR's i c/z at any points, given as
+    float64 planes x and y.
 
-    Where a rule's own series costs less than its node sum and correction,
-    its points take the series: M, MT and MM points with |z| >= _LAURENT
-    the Laurent series (_laurent), MM points within h/4 of 0 the Maclaurin
-    series (_maclaurin).  Every other point takes _rule_sum."""
+    Each point is routed by its own r^2 = x^2 + y^2, so its value does not
+    depend on the other points of the call: where a rule's own series costs
+    less than its node sum and correction, the point takes the series, the
+    Laurent series (_laurent) at r >= _LAURENT and on MM the Maclaurin
+    series (_maclaurin) at r < h/4.  Every other point takes _rule_sum."""
     if tag is BranchTag.FAR:
+        return _far(x, y, p)
+    r2 = x * x
+    r2 += y * y
+    # MM points with r^2 below this take the Maclaurin series; no r^2 is below 0
+    disk = (p.h / 4.0) ** 2 if tag is BranchTag.MM else 0.0
+    # a reduction or two send a group with no series point, as on most calls
+    # on small inputs, straight to the node sum
+    if r2.max() < _LAURENT * _LAURENT and (not disk or r2.min() >= disk):
         return _rule_sum(x, y, p, tag)
-    # the far test costs a reduction or three where no point is far, as on
-    # most calls on small inputs
-    if tag is BranchTag.MM:
-        r2 = x * x
-        r2 += y * y
-        far = r2.max() >= _LAURENT * _LAURENT
-    else:
-        # |z|^2 <= 2 y^2 on M points (y >= |x|) and 2 x^2 on MT points (y < |x|)
-        r2 = None
-        top = y.max() if tag is BranchTag.M else max(x.max(), -x.min())
-        far = 2.0 * top * top >= _LAURENT * _LAURENT
-    series = []
-    if far:
-        if r2 is None:
-            r2 = x * x
-            r2 += y * y
-        series.append((r2 >= _LAURENT * _LAURENT, functools.partial(_laurent, p=p, tag=tag)))
-    if tag is BranchTag.MM:
-        series.append((r2 < (p.h / 4.0) ** 2, functools.partial(_maclaurin, p=p)))
-    w = rest = None
-    for sel, f in series:
-        idx = np.flatnonzero(sel)
-        if idx.size == x.size:
-            return f(x, y)
-        if idx.size:
-            if w is None:
-                w = np.empty(x.shape, dtype=np.complex128)
-                rest = ~sel
-            else:
-                rest &= ~sel
-            w[idx] = f(x[idx], y[idx])
-    if w is None:
-        return _rule_sum(x, y, p, tag)
-    rest = np.flatnonzero(rest)
-    if rest.size:
-        w[rest] = _rule_sum(x[rest], y[rest], p, tag)
-    return w
+    far = r2 >= _LAURENT * _LAURENT
+    near = r2 < disk
+    return _partition(x, y, (
+        (far, functools.partial(_laurent, p=p, tag=tag)),
+        (near, functools.partial(_maclaurin, p=p)),
+        (~(far | near), functools.partial(_rule_sum, p=p, tag=tag)),
+    ))
 
 
 def _rule_sum(x, y, p: EvalParams, tag: BranchTag):
-    """The part ``tag`` of the dispatch by its node sum and residue
-    correction, or FAR's i c/z.
+    """The rule ``tag`` (M, MT or MM) by its node sum and residue correction.
 
     Every step is odd or even in x, so w(-x + iy) = conj w(x + iy) bit for
     bit: the sign of x needs no fold."""
-    if tag is BranchTag.FAR:
-        return _far(x, y, p)
     a = x * x
     a -= y * y
     b = x * y
@@ -600,19 +577,36 @@ _BINARY64 = _Arithmetic(
 )
 
 
+def _partition(x, y, parts, out=None):
+    """Evaluate each of ``parts``, pairs (mask, f) with disjoint masks over
+    the points x + iy, as f on its own points, and write the results into
+    ``out``, or a new complex array.  A part that holds every point is
+    evaluated on x and y themselves; with no ``out``, its result is
+    returned as it is."""
+    for sel, f in parts:
+        # index arrays gather and scatter several times faster than masks
+        idx = np.flatnonzero(sel)
+        if idx.size == x.size:
+            if out is None:
+                return f(x, y)
+            out[...] = f(x, y)
+            return out
+        if idx.size:
+            if out is None:
+                out = np.empty(x.shape, dtype=np.complex128)
+            out[idx] = f(x[idx], y[idx])
+    return out
+
+
 def _upper_block(x, y, p: EvalParams, out, arith: _Arithmetic):
     """Write w_N(x + iy) into ``out`` for one block of upper half-plane
     points, given as contiguous float64 planes x and y >= 0.
 
     The partition is read from |x|; each part takes x with its sign."""
     masks = _branch_masks(np.abs(x), y, p)
-    for tag, sel in zip(BranchTag, masks):
-        # index arrays gather and scatter several times faster than masks
-        idx = np.flatnonzero(sel)
-        if idx.size == x.size:
-            out[...] = arith.rule(x, y, p, tag)
-        elif idx.size:
-            out[idx] = arith.rule(x[idx], y[idx], p, tag)
+    _partition(x, y, (
+        (sel, functools.partial(arith.rule, p=p, tag=tag)) for tag, sel in zip(BranchTag, masks)
+    ), out)
 
 
 def _reflect(z, w, arith: _Arithmetic):

@@ -145,6 +145,29 @@ class TestIndependentWitnesses:
             f"max rel diff {rel[i]:.3e} at {polar_grid[i]:.4g} <= {tol:.3e}",
         )
 
+    @pytest.mark.slow
+    def test_scipy_full_cartesian_grid(self):
+        # all 16,008,001 points, built from the axis a slab of columns at a
+        # time, so that the 256 MB grid is never formed
+        sp = pytest.importorskip("scipy.special")
+        tol = rel_bound(11) + 1e-13
+        spec = bench.GridSpec(kind="cartesian")
+        axis = spec.x_min + spec.step * np.arange(spec._axis_count())
+        worst, at = [], []
+        for columns in np.array_split(axis, 64):
+            z = (columns[:, None] + 1j * axis).ravel()
+            want = sp.wofz(z)
+            rel = np.abs(core.w_plane(z, 11) - want) / np.abs(want)
+            i = int(np.argmax(rel))  # the first NaN, if there is one
+            worst.append(rel[i])
+            at.append(z[i])
+        i = int(np.argmax(worst))
+        record(
+            worst[i] <= tol,
+            f"witness (scipy wofz, full cartesian grid, {axis.size ** 2:,} pts)",
+            f"max rel diff {worst[i]:.3e} at {at[i]:.4g} <= {tol:.3e}",
+        )
+
     def test_mpmath_polar_subsample(self, polar_grid):
         mp = pytest.importorskip("mpmath")
         z = polar_grid[::1000]

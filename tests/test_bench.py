@@ -191,9 +191,10 @@ class TestAccuracyTable:
             accuracy_table([], SMALL)
 
     def test_unknown_method(self):
-        # an unknown name, an extra argument or a malformed one: each names its spec
+        # an unknown name, an extra argument, a malformed one or one out of
+        # range: each names its spec
         for spec in ("chebyshev(5)", "trap(5,99)", "cf(11,3)", "zaghloul(0.5,38,1)",
-                     "trap(x)", "zaghloul(a)"):
+                     "trap(x)", "zaghloul(a)", "trap(26)", "cf(0)"):
             with pytest.raises(ParameterError) as info:
                 parse_method(spec)
             assert spec in str(info.value)
@@ -392,11 +393,11 @@ class TestCli:
         # every spec is parsed before the grid is built, let alone timed
         monkeypatch.setattr(bench, "gen_grid", lambda spec: pytest.fail("grid generated"))
         out = tmp_path / "b.csv"
-        rc = cli.main(["bench", "--methods", "trap(11);trap(x)", "--reps", "3",
-                       "--out", str(out)])
-        assert rc == 2
-        assert "trap(x)" in capsys.readouterr().err
-        assert not out.exists()
+        for command, bad in (("bench", "trap(x)"), ("bench", "trap(26)"), ("table", "cf(0)")):
+            rc = cli.main([command, "--methods", f"trap(11);{bad}", "--out", str(out)])
+            assert rc == 2
+            assert bad in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize("command, runner", [
         (["sweep", "--n-min", "3", "--n-max", "3"], "error_sweep"),

@@ -228,6 +228,33 @@ class TestModTrap:
             assert d <= 2 * abs_bound(11) + 8e-15
 
 
+@pytest.mark.parametrize("n", [0, 11, 25])
+@pytest.mark.parametrize("tag", list(core.BranchTag), ids=lambda t: t.value)
+def test_rule_pointwise(tag, n):
+    """_rule routes each point by its own |z|: on a whole array it gives
+    each point the bits it gives that point alone, NaN bits included, at
+    points inside and outside the tag's own region below FAR's cut."""
+    p = core._params(n)
+    rng = np.random.default_rng(11)
+    r = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), 1000))
+    z = r * np.exp(1j * rng.uniform(0.0, np.pi, r.size))
+    # the rims of both series, each with a neighbour on either side
+    rims = np.outer([core._LAURENT, p.h / 4], np.exp(1j * np.linspace(0.0, np.pi, 9))).ravel()
+    rims = np.concatenate([rims * (1 - 2.0**-52), rims, rims * (1 + 2.0**-52)])
+    zeros = [complex(sx, y) for sx in (0.0, -0.0) for y in (0.0, 0.05, 2.0, 100.0)]
+    zeros += [complex(x, 0.0) for x in (0.05, -0.05, 3.0, -3.0, 100.0, -100.0)]
+    # alone under MT, a point past |z| = 64 with |x| < 64/sqrt(2) took the
+    # node sum, whose correction is NaN there
+    z = np.concatenate([z, rims, zeros, [-15.77 + 90.43j]])
+    x, y = z.real.copy(), z.imag.copy()
+    # outside its own region a rule may overflow
+    with np.errstate(all="ignore"):
+        whole = core._rule(x, y, p, tag)
+        alone = np.concatenate([core._rule(x[i:i + 1], y[i:i + 1], p, tag) for i in range(z.size)])
+    differ = (whole.view(np.uint64) != alone.view(np.uint64)).reshape(-1, 2).any(axis=1)
+    assert not differ.any(), (np.count_nonzero(differ), z[differ][:5])
+
+
 class TestMaclaurin:
     """MM points within h/4 of 0 take the rule's Maclaurin series in binary64;
     the oracle's w_ref sums the same rule by its nodes and correction in
