@@ -194,7 +194,8 @@ class TestAccuracyTable:
         # an unknown name, an extra argument, a malformed one or one out of
         # range: each names its spec
         for spec in ("chebyshev(5)", "trap(5,99)", "cf(11,3)", "zaghloul(0.5,38,1)",
-                     "trap(x)", "zaghloul(a)", "trap(26)", "cf(0)"):
+                     "trap(x)", "zaghloul(a)", "trap(26)", "cf(0)", "weideman(30)",
+                     "zaghloul(0.5,0)"):
             with pytest.raises(ParameterError) as info:
                 parse_method(spec)
             assert spec in str(info.value)
