@@ -253,6 +253,8 @@ def error_sweep(
         raise ParameterError("n_values must be non-empty")
     for n in n_values:  # every order is checked before the grid is built
         core._params(n)
+    if workers is not None and workers < 1:
+        raise ParameterError(f"workers must be at least 1, got {workers}")
     z = gen_grid(grid)
     records = {}
     for binary64, evaluate, zs in ((True, core.w_plane, z), (False, w_ref, z[::16])):

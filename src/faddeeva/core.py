@@ -7,8 +7,10 @@ one whose nodes stay at distance >= h/4 from z, or far out i c/z, which
 all three reduce to.  Each satisfies w_N(-conj z) = conj w_N(z), so the
 choice reads |Re z| and the formula takes z as it is.  Within h/4 of 0
 the midpoint rule with correction is summed by its own Maclaurin series,
-and at |z| >= 64 each formula by its own Laurent series.  The reflection
-w(z) = 2 e^{-z^2} - w(-z) extends the result to the lower half-plane.
+and at |z| >= 64 each formula by its own Laurent series.  Each block is
+split once into its (branch, path) parts, seven in binary64 and four in
+the oracle.  The reflection w(z) = 2 e^{-z^2} - w(-z) extends the result
+to the lower half-plane.
 """
 
 from __future__ import annotations
@@ -275,35 +277,6 @@ def _add_correction(w, a, y, p: EvalParams, tag: BranchTag, correction):
     return _add_live(w, decay, correction)
 
 
-def _rule(x, y, p: EvalParams, tag: BranchTag):
-    """The rule ``tag`` of the dispatch at points x + iy of the closed upper
-    half-plane below FAR's cut, or FAR's i c/z at any points, given as
-    float64 planes x and y.
-
-    Each point is routed by its own r^2 = x^2 + y^2, so its value does not
-    depend on the other points of the call: where a rule's own series costs
-    less than its node sum and correction, the point takes the series, the
-    Laurent series (_laurent) at r >= _LAURENT and on MM the Maclaurin
-    series (_maclaurin) at r < h/4.  Every other point takes _rule_sum."""
-    if tag is BranchTag.FAR:
-        return _far(x, y, p)
-    r2 = x * x
-    r2 += y * y
-    # MM points with r^2 below this take the Maclaurin series; no r^2 is below 0
-    disk = (p.h / 4.0) ** 2 if tag is BranchTag.MM else 0.0
-    # a reduction or two send a group with no series point, as on most calls
-    # on small inputs, straight to the node sum
-    if r2.max() < _LAURENT * _LAURENT and (not disk or r2.min() >= disk):
-        return _rule_sum(x, y, p, tag)
-    far = r2 >= _LAURENT * _LAURENT
-    near = r2 < disk
-    return _partition(x, y, (
-        (far, functools.partial(_laurent, p=p, tag=tag)),
-        (near, functools.partial(_maclaurin, p=p)),
-        (~(far | near), functools.partial(_rule_sum, p=p, tag=tag)),
-    ))
-
-
 def _rule_sum(x, y, p: EvalParams, tag: BranchTag):
     """The rule ``tag`` (M, MT or MM) by its node sum and residue correction.
 
@@ -536,6 +509,33 @@ def _branch_masks(x, y, p: EvalParams):
     return m, mt, mm, far
 
 
+def _parts(x, y, p: EvalParams, masks):
+    """The seven (mask, f) parts of binary64's dispatch at points x + iy of
+    the closed upper half-plane, from _branch_masks' masks: the node sums of
+    M, MT and MM (_rule_sum), the Maclaurin series of MM points with r < h/4
+    (_maclaurin), the Laurent series below FAR's cut at r >= _LAURENT
+    (_laurent), one for M and MM, which share the midpoint moments, and one
+    for MT, and FAR (_far).  Each point is routed by its own r = |z|, so its
+    value does not depend on the other points of the call.  Each mask is
+    built once the parts before it leave points unplaced; each f reads its
+    function per call, so that a wrapper bound to its name sees it."""
+    m, mt, mm, far = masks
+    # r^2 overflows only at FAR points, which take no series
+    with np.errstate(over="ignore"):
+        r2 = x * x
+        r2 += y * y
+    # FAR points too, which m, mt and mm do not hold
+    laurent = r2 >= _LAURENT * _LAURENT
+    yield np.greater(m, laurent), functools.partial(_rule_sum, p=p, tag=BranchTag.M)
+    yield np.greater(mt, laurent), functools.partial(_rule_sum, p=p, tag=BranchTag.MT)
+    near = mm & (r2 < (p.h / 4.0) ** 2)
+    yield np.greater(mm, laurent | near), functools.partial(_rule_sum, p=p, tag=BranchTag.MM)
+    yield near, functools.partial(_maclaurin, p=p)
+    yield np.greater(laurent, mt | far), functools.partial(_laurent, p=p, tag=BranchTag.MM)
+    yield laurent & mt, functools.partial(_laurent, p=p, tag=BranchTag.MT)
+    yield far, functools.partial(_far, p=p)
+
+
 def select_branch(z, n: int = DEFAULT_N) -> BranchTag:
     """The part of the dispatch of order n that runs at a scalar z of the
     closed upper half-plane; it reads |Re z|, as _upper_block does."""
@@ -558,55 +558,50 @@ def _exp_neg_z2(z):
 class _Arithmetic(NamedTuple):
     """The arithmetic the dispatch and the reflection run in.
 
-    ``empty(size)`` makes the flat output container, ``rule(x, y, p, tag)``
-    evaluates the part ``tag`` of the dispatch on its upper half-plane
-    points x + iy, ``exp_neg_z2(z)`` returns e^{-z^2} for complex128
-    points z, for the reflection of the lower half-plane, and
-    ``imag_words(w)`` returns the float64 arrays that hold Im w, the
-    leading one first.
+    ``empty(size)`` makes the flat output container, ``parts(x, y, p,
+    masks)`` yields the dispatch's (mask, f) parts at upper half-plane
+    points x + iy from _branch_masks' masks, ``exp_neg_z2(z)`` returns
+    e^{-z^2} for complex128 points z, for the reflection of the lower
+    half-plane, and ``imag_words(w)`` returns the float64 arrays that hold
+    Im w, the leading one first.
     """
 
     empty: Callable
-    rule: Callable
+    parts: Callable
     exp_neg_z2: Callable
     imag_words: Callable
 
 
 _BINARY64 = _Arithmetic(
-    functools.partial(np.empty, dtype=np.complex128), _rule, _exp_neg_z2, lambda w: (w.imag,)
+    functools.partial(np.empty, dtype=np.complex128), _parts, _exp_neg_z2, lambda w: (w.imag,)
 )
 
 
-def _partition(x, y, parts, out=None):
-    """Evaluate each of ``parts``, pairs (mask, f) with disjoint masks over
-    the points x + iy, as f on its own points, and write the results into
-    ``out``, or a new complex array.  A part that holds every point is
-    evaluated on x and y themselves; with no ``out``, its result is
-    returned as it is."""
+def _partition(x, y, parts, out):
+    """Write into ``out`` each of ``parts``, pairs (mask, f) with disjoint
+    masks over the points x + iy, as f on its own points.  A part that
+    holds every point is evaluated on x and y themselves, and the parts
+    after the one that places the last point are not built."""
+    left = x.size
     for sel, f in parts:
         # index arrays gather and scatter several times faster than masks
         idx = np.flatnonzero(sel)
         if idx.size == x.size:
-            if out is None:
-                return f(x, y)
             out[...] = f(x, y)
-            return out
-        if idx.size:
-            if out is None:
-                out = np.empty(x.shape, dtype=np.complex128)
+        elif idx.size:
             out[idx] = f(x[idx], y[idx])
-    return out
+        left -= idx.size
+        if not left:
+            return
 
 
 def _upper_block(x, y, p: EvalParams, out, arith: _Arithmetic):
     """Write w_N(x + iy) into ``out`` for one block of upper half-plane
-    points, given as contiguous float64 planes x and y >= 0.
+    points, given as contiguous float64 planes x and y >= 0, in one
+    partition into its (branch, path) parts.
 
-    The partition is read from |x|; each part takes x with its sign."""
-    masks = _branch_masks(np.abs(x), y, p)
-    _partition(x, y, (
-        (sel, functools.partial(arith.rule, p=p, tag=tag)) for tag, sel in zip(BranchTag, masks)
-    ), out)
+    The branches are read from |x|; each part takes x with its sign."""
+    _partition(x, y, arith.parts(x, y, p, _branch_masks(np.abs(x), y, p)), out)
 
 
 def _reflect(z, w, arith: _Arithmetic):

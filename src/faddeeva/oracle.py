@@ -14,6 +14,8 @@ integral that defines w (`tests/certification.py`).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import core
@@ -119,6 +121,13 @@ def _far_dd(x, y, p: core.EvalParams) -> DDComplex:
     return DDComplex(*(DD(np.ldexp(r.hi, -e), np.ldexp(r.lo, -e)) for r in (s * v, s * u)))
 
 
+#: core's dispatch in double-double, one part per branch; _w_q1_dd is read
+#: per call, so that a wrapper bound to its name sees it
+_DD = core._Arithmetic(DDComplex.zeros, lambda x, y, p, masks: (
+    (sel, functools.partial(_w_q1_dd, p=p, tag=tag)) for tag, sel in zip(BranchTag, masks)
+), _exp_neg_z2_at, lambda w: (w.im.hi, w.im.lo))
+
+
 def w_ref(z, n: int = ORACLE_N) -> DDComplex:
     """w_N(z) over the whole plane: core's dispatch and reflection in
     double-double.
@@ -127,13 +136,7 @@ def w_ref(z, n: int = ORACLE_N) -> DDComplex:
     gives a DDComplex of 0-d arrays.
     """
     z = core._as_xy(z)
-    # built per call: the benchmark's traced run (perfbench/tracing.py)
-    # rebinds _w_q1_dd by module attribute, and a tuple made at import would
-    # keep the unwrapped function
-    dd = core._Arithmetic(
-        DDComplex.zeros, _w_q1_dd, _exp_neg_z2_at, lambda w: (w.im.hi, w.im.lo)
-    )
-    out = core._evaluate(z, core._params(n), arith=dd)
+    out = core._evaluate(z, core._params(n), arith=_DD)
     return out[0] if z.ndim == 0 else out
 
 

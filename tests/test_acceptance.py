@@ -19,6 +19,7 @@ from faddeeva.oracle import ORACLE_N, w_oracle, w_ref
 
 from certification import w_quadrature
 from conftest import ACCEPTANCE_RESULTS
+from test_core import rule
 
 
 def record(ok: bool, label: str, detail: str):
@@ -334,10 +335,10 @@ class TestCriterion6Identities:
         u = rng.uniform(0.25, 0.75, 500)
         xb = (k + u) * h  # phase inside the trapezoidal window
         yb = rng.uniform(0.0, 1.0, 500) * np.minimum(xb, np.pi / h) * 0.99
-        d1 = np.abs(core._rule(xb, yb, p11, MT) - core._rule(xb, yb, p11, MM))
+        d1 = np.abs(rule(xb, yb, p11, MT) - rule(xb, yb, p11, MM))
         # and along the diagonal y = x = t (midpoint vs plain-sum handoff)
         t = np.linspace(np.pi / h + 0.1, 30.0, 500)
-        d2 = np.abs(core._rule(t, t, p11, M) - core._rule(t, t, p11, MM))
+        d2 = np.abs(rule(t, t, p11, M) - rule(t, t, p11, MM))
         cont = float(max(np.max(d1), np.max(d2)))
         ok_cont = cont <= tol
         msgs.append(f"branch continuity {cont:.1e} <= {tol:.1e}")

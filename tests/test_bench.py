@@ -417,6 +417,16 @@ class TestCli:
         r = run_cli("sweep", "--n-min", "0", "--n-max", "26", "--out", str(tmp_path / "x.csv"))
         assert r.returncode == 2 and "n-max <= 25" in r.stderr
 
+    def test_sweep_bad_workers_exit_2(self, tmp_path):
+        # a worker count below 1 is refused before the grid is built, not
+        # taken for a serial run
+        out = tmp_path / "x.csv"
+        for workers in ("0", "-4"):
+            r = run_cli("sweep", "--n-min", "3", "--n-max", "3", "--workers", workers,
+                        "--out", str(out))
+            assert r.returncode == 2 and f"workers must be at least 1, got {workers}" in r.stderr
+        assert not out.exists()
+
     def test_unwritable_out_exit_2(self, capsys):
         rc = cli.main(["sweep", "--n-min", "3", "--n-max", "3", "--p-step", "0.5",
                        "--theta-count", "9", "--out", "/no/such/dir/x.csv"])

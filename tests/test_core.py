@@ -147,11 +147,21 @@ class TestOrderArgument:
         assert "EvalParams" not in faddeeva.__all__
 
 
-def rule(z, tag):
+def rule(x, y, p, tag):
+    """The part ``tag`` of binary64's dispatch of order p.n forced at every
+    point x + iy, through _parts and _partition: the rule, or where _parts
+    routes a point to one, the rule's series, or FAR's i c/z."""
+    masks = [np.full(x.shape, t is tag) for t in core.BranchTag]
+    out = np.empty(x.shape, dtype=np.complex128)
+    core._partition(x, y, core._parts(x, y, p, masks), out)
+    return out
+
+
+def rule_at(z, tag):
     """The quadrature formula ``tag`` of order 11 at z, without the dispatch."""
     z = np.asarray(z, dtype=np.complex128)
     zf = np.atleast_1d(z)
-    out = core._rule(zf.real.copy(), zf.imag.copy(), P11, tag)
+    out = rule(zf.real.copy(), zf.imag.copy(), P11, tag)
     return complex(out[0]) if z.ndim == 0 else out
 
 
@@ -160,7 +170,7 @@ M, MM, MT, FAR = core.BranchTag.M, core.BranchTag.MM, core.BranchTag.MT, core.Br
 
 class TestMidSum:
     def test_zero(self):
-        assert rule(0j, M) == 0j
+        assert rule_at(0j, M) == 0j
 
     def test_reflection_symmetry(self):
         # w_N(-conj z) = conj w_N(z) bit for bit, in both arithmetics, in each
@@ -181,7 +191,7 @@ class TestMidSum:
         )
         far = np.array([1e25 + 1j, 1e300 + 1e290j, complex(np.inf, 2.0)])
         arithmetics = [
-            (P11, core._rule, lambda w: (w.real, w.imag)),
+            (P11, rule, lambda w: (w.real, w.imag)),
             (core._params(oracle.ORACLE_N), oracle._w_q1_dd,
              lambda w: (w.re.hi, w.re.lo, w.im.hi, w.im.lo)),
         ]
@@ -197,62 +207,137 @@ class TestMidSum:
     def test_imag_axis_matches_oracle(self):
         # w(10i) = erfcx(10); M-branch territory
         ref = oracle_c(10j)
-        assert abs(rule(10j, M) - ref) < 2e-15
+        assert abs(rule_at(10j, M) - ref) < 2e-15
 
 
 class TestModMid:
     def test_origin_exact(self):
-        assert rule(0j, MM) == 1.0 + 0j
+        assert rule_at(0j, MM) == 1.0 + 0j
 
     @pytest.mark.parametrize("z", [1 + 2j, 3 + 0.1j])
     def test_vs_oracle(self, z):
-        assert abs(rule(z, MM) - oracle_c(z)) < abs_bound(11)
+        assert abs(rule_at(z, MM) - oracle_c(z)) < abs_bound(11)
 
 
 class TestModTrap:
     def test_vs_oracle(self):
         z = 3.2 + 0.1j  # frac(3.2/h) ~ 0.254, inside the MT window
         assert core.select_branch(z, 11) is MT
-        assert abs(rule(z, MT) - oracle_c(z)) < abs_bound(11)
+        assert abs(rule_at(z, MT) - oracle_c(z)) < abs_bound(11)
 
     def test_real_axis_midwindow(self):
         x = 1.5 * P11.h
-        v = rule(x + 0j, MT)
+        v = rule_at(x + 0j, MT)
         assert abs(v.real - math.exp(-x * x)) < abs_bound(11)
 
     def test_branch_agreement(self):
         # both rules valid at (k+3/4)h + 0.1i; they agree to 2*C1*e^{-pi N}
         for k in (2, 4, 7):
             z = (k + 0.75) * P11.h + 0.1j
-            d = abs(rule(z, MT) - rule(z, MM))
+            d = abs(rule_at(z, MT) - rule_at(z, MM))
             assert d <= 2 * abs_bound(11) + 8e-15
 
 
-@pytest.mark.parametrize("n", [0, 11, 25])
-@pytest.mark.parametrize("tag", list(core.BranchTag), ids=lambda t: t.value)
-def test_rule_pointwise(tag, n):
-    """_rule routes each point by its own |z|: on a whole array it gives
-    each point the bits it gives that point alone, NaN bits included, at
-    points inside and outside the tag's own region below FAR's cut."""
-    p = core._params(n)
+def pointwise_points(p):
+    """1,069 points of the closed upper half-plane below FAR's cut for the
+    order p.n: 1,000 seeded with |z| log-uniform in [1e-3, 1e3], the rims
+    of both series with a neighbour on either side, signed zeros and a
+    reproducer."""
     rng = np.random.default_rng(11)
     r = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), 1000))
     z = r * np.exp(1j * rng.uniform(0.0, np.pi, r.size))
-    # the rims of both series, each with a neighbour on either side
     rims = np.outer([core._LAURENT, p.h / 4], np.exp(1j * np.linspace(0.0, np.pi, 9))).ravel()
     rims = np.concatenate([rims * (1 - 2.0**-52), rims, rims * (1 + 2.0**-52)])
     zeros = [complex(sx, y) for sx in (0.0, -0.0) for y in (0.0, 0.05, 2.0, 100.0)]
     zeros += [complex(x, 0.0) for x in (0.05, -0.05, 3.0, -3.0, 100.0, -100.0)]
     # alone under MT, a point past |z| = 64 with |x| < 64/sqrt(2) took the
     # node sum, whose correction is NaN there
-    z = np.concatenate([z, rims, zeros, [-15.77 + 90.43j]])
+    return np.concatenate([z, rims, zeros, [-15.77 + 90.43j]])
+
+
+@pytest.mark.parametrize("n", [0, 11, 25])
+@pytest.mark.parametrize("tag", list(core.BranchTag), ids=lambda t: t.value)
+def test_rule_pointwise(tag, n):
+    """Each point is routed by its own |z|: forced through one tag, a whole
+    array gives each point the bits it gives that point alone, NaN bits
+    included, at points inside and outside the tag's own region below FAR's
+    cut."""
+    p = core._params(n)
+    z = pointwise_points(p)
     x, y = z.real.copy(), z.imag.copy()
     # outside its own region a rule may overflow
     with np.errstate(all="ignore"):
-        whole = core._rule(x, y, p, tag)
-        alone = np.concatenate([core._rule(x[i:i + 1], y[i:i + 1], p, tag) for i in range(z.size)])
+        whole = rule(x, y, p, tag)
+        alone = np.concatenate([rule(x[i:i + 1], y[i:i + 1], p, tag) for i in range(z.size)])
     differ = (whole.view(np.uint64) != alone.view(np.uint64)).reshape(-1, 2).any(axis=1)
     assert not differ.any(), (np.count_nonzero(differ), z[differ][:5])
+
+
+#: at least two points of each of binary64's seven parts at N = 11, in
+#: _parts' order: the node sums of M, MT and MM, the Maclaurin series, the
+#: Laurent series of M and MM and of MT, and FAR; six below the real axis
+ROUTING_MIX = np.array([
+    0.5 + 9j, -2 + 7j, 3.2 + 0.1j, -3.2 - 0.1j, 1 + 1j, -2 - 0.5j, 0.05 + 0.05j, -0.1 - 0.02j,
+    30 + 90j, -66.5 + 3j, 100 + 1j, -77 - 1j, -45 - 50j, 120 - 0.5j, 1e25 + 1j,
+    complex(-np.inf, 2.0),
+])
+
+
+def dispatch_parts(z, p, tag=None):
+    """_parts' masks at the points z, each folded into the upper half-plane
+    as _evaluate folds it, and the branch masks they are built from:
+    _branch_masks', or with ``tag`` that tag at every point, as rule
+    forces it."""
+    x = np.where(z.imag < 0, -z.real, z.real)
+    y = np.abs(z.imag)
+    if tag is None:
+        masks = core._branch_masks(np.abs(x), y, p)
+    else:
+        masks = [np.full(x.shape, t is tag) for t in core.BranchTag]
+    return np.array([sel for sel, _ in core._parts(x, y, p, masks)]), masks
+
+
+class TestRouting:
+    """Each block is split once into its (branch, path) parts, and a point's
+    value does not depend on the other points of the call."""
+
+    def test_mix_reaches_every_part(self):
+        parts, _ = dispatch_parts(ROUTING_MIX, P11)
+        assert parts.shape == (7, ROUTING_MIX.size)
+        assert (parts.sum(axis=1) >= 2).all(), parts.sum(axis=1)
+
+    # a point alone costs the oracle about 8 ms, so it checks every 16th of
+    # the reflected points alone, and every point of the mix
+    @pytest.mark.parametrize("evaluate, n, words, stride", [
+        (core.w_plane, 11, lambda w: np.stack([w.real, w.imag]).view(np.uint64), 1),
+        (oracle.w_ref, oracle.ORACLE_N,
+         lambda w: np.stack([w.re.hi, w.re.lo, w.im.hi, w.im.lo]).view(np.uint64), 16),
+    ], ids=["binary64", "oracle"])
+    def test_whole_array_matches_each_point_alone(self, evaluate, n, words, stride):
+        z = pointwise_points(core._params(n))
+        z = np.concatenate([z, -np.conj(z), np.conj(z), -z, ROUTING_MIX])
+        whole = words(evaluate(z, n)).reshape(-1, z.size)
+        idx = np.r_[0:z.size - ROUTING_MIX.size:stride, z.size - ROUTING_MIX.size:z.size]
+        alone = np.stack([words(evaluate(z[i:i + 1], n)).ravel() for i in idx], axis=-1)
+        differ = (whole[:, idx] != alone).any(axis=0)
+        assert not differ.any(), (np.count_nonzero(differ), z[idx][differ][:5])
+
+    @pytest.mark.parametrize("n", [0, 11, 25])
+    def test_parts_disjoint_and_cover(self, n):
+        p = core._params(n)
+        circle = np.exp(1j * np.linspace(0.0, np.pi, 9))
+        radii = np.outer([core._LAURENT, p.h / 4], [1 - 2.0**-52, 1.0, 1 + 2.0**-52]).ravel()
+        edge = [0.0, -0.0, 1.0, 1e20, np.nextafter(1e20, 0), np.inf]
+        edge = [complex(sx * a, b) for a in edge for b in edge for sx in (1.0, -1.0)]
+        z = np.concatenate([
+            np.outer(radii, circle).ravel(), edge, pointwise_points(p), ROUTING_MIX,
+        ])
+        for tag in [None, *core.BranchTag]:
+            parts, masks = dispatch_parts(z, p, tag)
+            assert parts.shape == (7, z.size)
+            assert (parts.sum(axis=0) == 1).all(), tag
+            # the Maclaurin series sums MM points only
+            assert not (parts[3] & ~masks[2]).any(), tag
 
 
 class TestMaclaurin:
