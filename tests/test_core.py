@@ -158,7 +158,7 @@ def rule(x, y, p, tag):
 
 
 def rule_at(z, tag):
-    """The quadrature formula ``tag`` of order 11 at z, without the dispatch."""
+    """rule of order 11 at z, whatever part of the dispatch z falls in."""
     z = np.asarray(z, dtype=np.complex128)
     zf = np.atleast_1d(z)
     out = rule(zf.real.copy(), zf.imag.copy(), P11, tag)
