@@ -562,8 +562,8 @@ class _Arithmetic(NamedTuple):
     masks)`` yields the dispatch's (mask, f) parts at upper half-plane
     points x + iy from _branch_masks' masks, ``exp_neg_z2(z)`` returns
     e^{-z^2} for complex128 points z, for the reflection of the lower
-    half-plane, and ``imag_words(w)`` returns the float64 arrays that hold
-    Im w, the leading one first.
+    half-plane and for _erfc, and ``imag_words(w)`` returns the float64
+    arrays that hold Im w, the leading one first.
     """
 
     empty: Callable
@@ -681,56 +681,55 @@ def _times_i(z):
     return _by_parts(-z.imag, z.real)
 
 
-def _erfc(z, exp_neg_z2, w):
-    """erfc(z) = e^{-z^2} w(iz) at flat points z, in the arithmetic of
-    ``exp_neg_z2(z)`` and ``w(z)``.
+def _erfc(z, p: EvalParams, arith: _Arithmetic):
+    """erfc(z) = e^{-z^2} w(iz) at flat checked points z in ``arith``: erfc's
+    one policy, for both arithmetics.
 
     For Re z < 0 it is 2 - erfc(-z), so that w is only ever evaluated in
-    the upper half-plane, where it is small and needs no reflection.
+    the upper half-plane, where it is small and needs no reflection.  An
+    infinite Re z is taken at 64 on the real axis, where e^{-z^2} is
+    exactly 0 in both arithmetics: the limits 0 and 2 come out of the
+    product and the fold.  erfc(iy) = 1 - i erfi(y) has real part exactly
+    1, also where e^{-z^2} w(iz) is inf * 0, and erfi(+-inf) = +-inf.
     """
     neg = z.real < 0
     zr = np.where(neg, -z, z)
-    out = exp_neg_z2(zr) * w(_times_i(zr))
-    # index arrays gather and scatter several times faster than masks
-    neg = np.flatnonzero(neg)
-    out[neg] = 2.0 - out[neg]
-    return out
-
-
-def _erfc_binary64(z, p: EvalParams):
-    """erfc(z) = e^{-z^2} w(iz) at flat checked points z, by _erfc in
-    binary64."""
+    zr[np.isinf(zr.real)] = 64.0
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        out = _erfc(z, _exp_neg_z2, lambda v: _evaluate(v, p))
-    # erfc(iy) = 1 - i erfi(y), where e^{-z^2} w(iz) can be inf * 0, and
-    # erfi(+-inf) = +-inf
+        out = arith.exp_neg_z2(zr) * _evaluate(_times_i(zr), p, arith)
+        # index arrays gather and scatter several times faster than masks
+        neg = np.flatnonzero(neg)
+        out[neg] = 2.0 - out[neg]
     axis = np.flatnonzero(z.real == 0)
     out.real[axis] = 1.0
-    y = z.imag[axis]
-    inf = np.isinf(y)
-    out.imag[axis[inf]] = -y[inf]
+    inf = axis[np.isinf(z.imag[axis])]
+    out.imag[inf] = -z.imag[inf]
     return out
 
 
 @_pointwise
 def erfc_c(z, n: int = DEFAULT_N):
     """Complementary error function erfc(z) = e^{-z^2} w(iz)."""
-    return _erfc_binary64(z, _params(n))
+    return _erfc(z, _params(n), _BINARY64)
 
 
 @_pointwise
 def erf_c(z, n: int = DEFAULT_N):
     """Error function erf(z) = 1 - erfc(z).  On the imaginary axis erf(iy) =
     i erfi(y) has the signed zero Re z as its real part, as erf is odd."""
-    res = 1.0 - _erfc_binary64(z, _params(n))
+    res = 1.0 - _erfc(z, _params(n), _BINARY64)
     np.copyto(res.real, z.real, where=z.real == 0)
     return res
 
 
 @_pointwise
 def erfcx_c(z, n: int = DEFAULT_N):
-    """Scaled complementary error function e^{z^2} erfc(z) = w(iz)."""
-    return _evaluate(_times_i(z), _params(n))
+    """Scaled complementary error function e^{z^2} erfc(z) = w(iz); at -inf
+    its limit on the real axis, inf, where w(-i inf) has no phase."""
+    lim = z == -np.inf
+    out = _evaluate(_times_i(np.where(lim, 0.0, z)), _params(n))
+    out[lim] = np.inf
+    return out
 
 
 def dawson_real(x, n: int = DEFAULT_N):

@@ -105,6 +105,7 @@ class DD:
         return DD(self.hi[idx], self.lo[idx])
 
     def __setitem__(self, idx, value):
+        value = value if isinstance(value, DD) else DD(value)
         self.hi[idx] = value.hi
         self.lo[idx] = value.lo
 
@@ -317,6 +318,8 @@ class DDComplex:
         self.re = re if isinstance(re, DD) else DD(re)
         self.im = im if isinstance(im, DD) else DD(im)
 
+    real = property(lambda self: self.re)  # numpy's names, for code serving both
+    imag = property(lambda self: self.im)
     @classmethod
     def zeros(cls, shape):
         return cls(DD(np.zeros(shape)), DD(np.zeros(shape)))

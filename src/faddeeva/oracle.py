@@ -7,7 +7,8 @@ and the reflection's e^{-z^2} in double-double. That gives absolute errors
 below 3.5e-28 (relative below 9.4e-27 in the upper half-plane). Its
 constants are the double-double values of core's one table of order
 constants (`EvalParams.dd`), whose leading words binary64 reads.
-`erfc_oracle` is core's erfc run on `w_oracle`. The tests certify
+`erfc_oracle` is `core._erfc`, erfc's one policy (fold, infinite-Re limits,
+imaginary-axis rule), run in double-double at order 20. The tests certify
 `w_oracle` against an independent Gauss-Legendre quadrature of the Cauchy
 integral that defines w (`tests/certification.py`).
 """
@@ -146,18 +147,8 @@ def w_oracle(z) -> DDComplex:
 
 
 def erfc_oracle(z) -> DDComplex:
-    """Reference erfc(z): core's erfc with the double-double e^{-z^2} and
-    w_oracle.
-
-    An infinite real part gives the limit, 0 at +inf and 2 at -inf: the
-    Dekker split of an infinite square is inf - inf.
-    """
+    """Reference erfc(z): core's erfc, its policy included, in double-double
+    at order 20; a flat result for array input, as w_ref's."""
     z = core._as_xy(z)
-    zf = np.atleast_1d(z).ravel()
-    inf = np.isinf(zf.real)
-    limit = np.where(zf.real[inf] > 0, 0.0, 2.0)
-    out = core._erfc(np.where(inf, 0.0, zf), _exp_neg_z2_at, w_oracle)
-    out[inf] = DDComplex(DD(limit), DD(np.zeros_like(limit)))
-    if z.ndim == 0:
-        return out[0]
-    return out
+    out = core._erfc(np.atleast_1d(z).ravel(), core._params(ORACLE_N), _DD)
+    return out[0] if z.ndim == 0 else out

@@ -208,11 +208,17 @@ def _sums_vec(x, y, p: ZaghloulParams):
 
 @core._pointwise
 def zaghloul_eval(z, p: ZaghloulParams = ZaghloulParams()):
-    """Evaluate w(z) = u + iv from the real/imaginary split; first quadrant only."""
+    """Evaluate w(z) = u + iv from the real/imaginary split; first quadrant only.
+
+    Its term banks take about 4 KB per point, so a larger input is
+    evaluated core._BLOCK points at a time."""
+    if np.any(z.real < 0.0) or np.any(z.imag < 0.0):
+        raise DomainError("evaluator requires Re(z) >= 0 and Im(z) >= 0")
+    if z.size > core._BLOCK:
+        blocks = range(0, z.size, core._BLOCK)
+        return np.concatenate([zaghloul_eval(z[i:i + core._BLOCK], p) for i in blocks])
     x = z.real.copy()
     y = z.imag.copy()
-    if np.any(x < 0.0) or np.any(y < 0.0):
-        raise DomainError("evaluator requires Re(z) >= 0 and Im(z) >= 0")
 
     s1, s2, s3, s4, s5 = _sums_vec(x, y, p)
     a = p.a

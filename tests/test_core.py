@@ -791,9 +791,12 @@ class TestDerived:
         assert core.voigt_kl(1.0, np.inf, 11) == (0.0, 0.0)
         k, l = core.voigt_kl(np.array([-np.inf, -2.0, 0.0, 3.0]), np.inf, 11)
         assert not np.any(k) and not np.any(l)
-        # w(-i inf): e^{-z^2} has an infinite modulus and no phase
+        # w(-i inf) has the limit inf along the real axis of erfcx, where the
+        # phase is 0; off that axis e^{-z^2} has an infinite modulus and no phase
+        assert core.erfcx_c(-np.inf, 11) == np.inf
+        assert core.erfcx_c(complex(-np.inf, -0.0), 11) == np.inf
         with pytest.raises(DomainError):
-            core.erfcx_c(-np.inf, 11)
+            core.erfcx_c(complex(-np.inf, 1.0), 11)
 
     def test_imag_axis(self):
         # erfc(iy) = 1 - i erfi(y) has real part 1 also where erfi(y)

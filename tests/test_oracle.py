@@ -15,7 +15,7 @@ import pytest
 import faddeeva
 from faddeeva import core, oracle
 from faddeeva.core import BranchTag
-from faddeeva.ddouble import DD, dd_exp
+from faddeeva.ddouble import DD, _by_parts, dd_exp
 from faddeeva.oracle import ORACLE_N, erfc_oracle, w_oracle, w_ref
 
 from certification import erfc_quadrature, w_quadrature
@@ -93,6 +93,34 @@ class TestErfcOracle:
             assert (r.re.hi, r.re.lo, r.im.hi, r.im.lo) == (limit, 0.0, 0.0, 0.0)
         r = erfc_oracle(np.array([-np.inf, 1.0, np.inf]))
         assert r.re.hi.tolist() == [2.0, erfc_oracle(1.0).re.hi, 0.0]
+
+    def test_imag_axis(self):
+        # core._erfc's axis rule: erfc(iy) = 1 - i erfi(y) has the real words
+        # (1, 0), also where e^{-z^2} w(iz) is inf * 0, and erfi(+-inf) = +-inf
+        y = np.array([0.0, 5e-324, 1e-10, 0.5, 3.0, 26.0, 26.7, 30.0, 1e10, 1e300, np.inf])
+        y = np.concatenate((y, -y))
+        for re in (0.0, -0.0):
+            r = erfc_oracle(_by_parts(re, y))
+            assert np.all(r.re.hi == 1.0) and np.all(r.re.lo == 0.0)
+            for sign in (1.0, -1.0):
+                r = erfc_oracle(_by_parts(re, sign * np.inf))
+                assert (r.re.hi, r.re.lo, r.im.hi, r.im.lo) == (1.0, 0.0, -sign * np.inf, 0.0)
+
+    def test_policy_matches_binary64(self):
+        # both arithmetics run core._erfc, so where its policy fixes a part the
+        # oracle's leading word is binary64's value: the real part on the
+        # imaginary axis, both parts at +-i inf and at an infinite Re z.  The
+        # sign of a zero is not compared: double-double sums do not keep it
+        y = np.array([0.0, 1e-300, 1.0, 26.7, 30.0, 1e300, np.inf])
+        y = np.concatenate((y, -y))
+        axis = _by_parts(np.repeat([0.0, -0.0], y.size), np.tile(y, 2))
+        r = erfc_oracle(axis)
+        assert np.array_equal(r.re.hi, faddeeva.erfc(axis).real)
+        ends = np.isinf(axis.imag)
+        far = _by_parts(np.repeat([np.inf, -np.inf], y.size), np.tile(y, 2))
+        for z in (axis[ends], far):
+            r, b = erfc_oracle(z), faddeeva.erfc(z)
+            assert np.array_equal(r.re.hi, b.real) and np.array_equal(r.im.hi, b.imag), z
 
 
 class TestCertification:

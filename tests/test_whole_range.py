@@ -13,6 +13,9 @@ Below the real axis w(z) = 2 e^{-z^2} - w(-z).  Where |y| <= |x|/2 the
 value is finite and away from the zeros of w, which lie near |y| = |x|, so
 it is checked in the same way; where x^2 - y^2 > 750 the term 2 e^{-z^2}
 is below half the smallest subnormal, and w(z) is exactly -w(-z).
+
+At an infinite real part erfc and erf take their limits, 0 or 2 and 1 or
+-1, at every finite imaginary part, with no NaN and no warning.
 """
 
 import math
@@ -101,6 +104,27 @@ def test_w_lower_half_plane(points):
     with np.errstate(over="ignore"):
         far = (z.imag < 0) & ((x - y) * (x + y) > 750.0)
     assert np.array_equal(got[far], -w_quiet(-z[far]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(
+    st.builds(
+        complex,
+        st.sampled_from([math.inf, -math.inf]),
+        st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0]),
+    ),
+    min_size=1, max_size=16,
+))
+@example([complex(math.inf, 1e300), complex(-math.inf, 1e300), complex(math.inf, -1e300)])
+@example([complex(math.inf, -0.0), complex(-math.inf, 0.0), complex(-math.inf, 2e154)])
+def test_erfc_erf_limits_at_infinite_real_part(points):
+    z = np.array(points)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        erfc, erf = faddeeva.erfc(z), faddeeva.erf(z)
+    right = z.real > 0
+    assert np.array_equal(erfc, np.where(right, 0.0, 2.0)), list(zip(z, erfc))
+    assert np.array_equal(erf, np.where(right, 1.0, -1.0)), list(zip(z, erf))
 
 
 def w_mpmath(z):
