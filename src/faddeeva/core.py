@@ -621,21 +621,22 @@ def _reflect(z, w, arith: _Arithmetic):
 
 
 def _evaluate(z, p: EvalParams, arith: _Arithmetic = _BINARY64):
-    """w_N on validated points, in blocks of _BLOCK points; the flat result.
+    """w_N on flat validated points, in blocks of _BLOCK points.
 
     Upper half-plane points are evaluated where they are; a lower one z is
-    evaluated at -z and reflected.  Only one block's temporaries are alive
-    at a time.
+    evaluated at -z and reflected.  At Im z = -inf, e^{-z^2} has a phase
+    only on Re z = +-0, where w is the axis limit inf +- 0i, as
+    scipy.special.wofz gives; every other such point is refused.  Only one
+    block's temporaries are alive at a time.
     """
-    zf = z.reshape(-1)
-    out = arith.empty(zf.size)
-    for i in range(0, zf.size, _BLOCK):
-        zb = zf[i:i + _BLOCK]
+    out = arith.empty(z.size)
+    for i in range(0, z.size, _BLOCK):
+        zb = z[i:i + _BLOCK]
         ob = out[i:i + _BLOCK]
         y = zb.imag
-        if (y == -np.inf).any():
-            # e^{-z^2} there has an infinite modulus and no phase
-            raise DomainError("imaginary part -inf in complex argument")
+        lim = np.flatnonzero(y == -np.inf)
+        if lim.size and zb.real[lim].any():
+            raise DomainError("imaginary part -inf off the imaginary axis")
         lower = np.flatnonzero(y < 0)
         # a contiguous copy: the strided view would reach the node sum
         x = zb.real.copy()
@@ -643,6 +644,10 @@ def _evaluate(z, p: EvalParams, arith: _Arithmetic = _BINARY64):
         _upper_block(x, np.abs(y), p, ob, arith)
         if lower.size:
             ob[lower] = _reflect(zb[lower], ob[lower], arith)
+        if lim.size:
+            # by parts, over the NaN the reflection's inf * 0 left there
+            ob.real[lim] = np.inf
+            ob.imag[lim] = 0.0
         # w(-conj z) = conj w(z) makes Im w odd in Re z: on Re z = +-0, where
         # w is real, and where it underflows, Im w is the zero with the sign
         # of Re z (above the real axis Im w has that sign).  The sums leave
@@ -724,12 +729,9 @@ def erf_c(z, n: int = DEFAULT_N):
 
 @_pointwise
 def erfcx_c(z, n: int = DEFAULT_N):
-    """Scaled complementary error function e^{z^2} erfc(z) = w(iz); at -inf
-    its limit on the real axis, inf, where w(-i inf) has no phase."""
-    lim = z == -np.inf
-    out = _evaluate(_times_i(np.where(lim, 0.0, z)), _params(n))
-    out[lim] = np.inf
-    return out
+    """Scaled complementary error function e^{z^2} erfc(z) = w(iz); its limit
+    at -inf +- 0i is w's at -+0 - i inf, inf -+ 0i."""
+    return _evaluate(_times_i(z), _params(n))
 
 
 def dawson_real(x, n: int = DEFAULT_N):

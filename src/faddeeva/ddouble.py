@@ -9,6 +9,8 @@ transformations (two-sum, Dekker two-product).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import EvaluationError
@@ -17,8 +19,8 @@ _SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp splitting constant
 
 # (hi, lo) pairs; hi is the correctly rounded binary64 value.
 PI = (3.141592653589793, 1.2246467991473532e-16)
-TWO_PI = (6.283185307179586, 2.4492935982947064e-16)
-PI_16 = (0.19634954084936207, 7.654042494670958e-18)
+TWO_PI = (2.0 * PI[0], 2.0 * PI[1])
+PI_16 = (PI[0] / 16.0, PI[1] / 16.0)
 LN2 = (0.6931471805599453, 2.3190468138462996e-17)
 SQRT_PI = (1.772453850905516, -7.666586499825799e-17)
 # third parts: 2 pi - TWO_PI and ln 2 - LN2, rounded to binary64
@@ -178,26 +180,7 @@ def dd_sqrt(a: DD) -> DD:
 
 
 #: 1/j!, j = 0..17
-_INV_FACT = [DD(hi, lo) for hi, lo in (
-    (1.0, 0.0),
-    (1.0, 0.0),
-    (0.5, 0.0),
-    (0.16666666666666666, 9.25185853854297e-18),
-    (0.041666666666666664, 2.3129646346357427e-18),
-    (0.008333333333333333, 1.1564823173178714e-19),
-    (0.001388888888888889, -5.300543954373577e-20),
-    (0.0001984126984126984, 1.7209558293420705e-22),
-    (2.48015873015873e-05, 2.1511947866775882e-23),
-    (2.7557319223985893e-06, -1.858393274046472e-22),
-    (2.755731922398589e-07, 2.3767714622250297e-23),
-    (2.505210838544172e-08, -1.448814070935912e-24),
-    (2.08767569878681e-09, -1.20734505911326e-25),
-    (1.6059043836821613e-10, 1.2585294588752098e-26),
-    (1.1470745597729725e-11, 2.0655512752830745e-28),
-    (7.647163731819816e-13, 7.03872877733453e-30),
-    (4.779477332387385e-14, 4.399205485834081e-31),
-    (2.8114572543455206e-15, 1.6508842730861433e-31),
-)]
+_INV_FACT = [DD(1.0) / float(math.factorial(j)) for j in range(18)]
 
 #: sin(k pi/16), k = 1..7
 _SIN_K_PI_16 = (

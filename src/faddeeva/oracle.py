@@ -137,7 +137,7 @@ def w_ref(z, n: int = ORACLE_N) -> DDComplex:
     gives a DDComplex of 0-d arrays.
     """
     z = core._as_xy(z)
-    out = core._evaluate(z, core._params(n), arith=_DD)
+    out = core._evaluate(z.reshape(-1), core._params(n), arith=_DD)
     return out[0] if z.ndim == 0 else out
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import faddeeva
 from faddeeva import core, oracle, reference
 from faddeeva.bounds import abs_bound
-from faddeeva.ddouble import DD, PI, dd_exp, dd_sqrt
+from faddeeva.ddouble import DD, PI, DDComplex, dd_exp, dd_sqrt
 from faddeeva.errors import DomainError, ParameterError
 from faddeeva.oracle import erfc_oracle, w_oracle
 
@@ -653,6 +653,53 @@ class TestPlane:
         assert _bits(a) == _bits(np.conj(core.w_plane(z, 11)))
 
 
+class TestMinusIInf:
+    """At Im z = -inf, e^{-z^2} has a phase only on Re z = +-0, where w has
+    the axis limit inf +- 0i, as scipy.special.wofz gives; _evaluate takes
+    it in both arithmetics and refuses every other -i inf point."""
+
+    def test_axis_limit(self):
+        for re in (0.0, -0.0):
+            z = complex(re, -np.inf)
+            assert _bits(np.array(core.w_plane(z, 11))) == _bits(np.array(complex(np.inf, re)))
+            words = [float(v) for part in (w_oracle(z).re, w_oracle(z).im) for v in (part.hi, part.lo)]
+            assert _bits(np.array(words)) == _bits(np.array([np.inf, 0.0, re, re]))
+
+    def test_erfcx_at_minus_inf(self):
+        # erfcx(-inf) = w(-0 - i inf), signed as erfcx(-1e200) and scipy
+        assert _bits(np.array(core.erfcx_c(-np.inf, 11))) == _bits(np.array(core.erfcx_c(-1e200, 11)))
+        assert _bits(np.array(core.erfcx_c(-np.inf, 11))) == _bits(np.array(complex(np.inf, -0.0)))
+        got = core.erfcx_c(complex(-np.inf, -0.0), 11)
+        assert _bits(np.array(got)) == _bits(np.array(complex(np.inf, 0.0)))
+
+    def test_across_block_edge(self):
+        # the limit at index _BLOCK leaves every other point as it is alone
+        base = np.array([
+            1.5 - 0.5j, -2.0 + 0.3j, complex(-0.0, -30.0), 0.1 + 0.1j, -7.0 - 2.0j,
+            complex(0.0, np.inf), 100.0 + 1.0j, complex(-0.0, -np.inf),
+        ])
+        z = base[np.arange(2 * core._BLOCK + 3) % base.size]
+        z[core._BLOCK] = complex(-0.0, -np.inf)
+        alone = np.array([core.w_plane(complex(v), 11) for v in base])
+        want = alone[np.arange(z.size) % base.size]
+        want[core._BLOCK] = complex(np.inf, -0.0)
+        assert _bits(core.w_plane(z, 11)) == _bits(want)
+        got = w_oracle(z)
+        for k in (core._BLOCK - 1, core._BLOCK + 1):
+            assert _bits(got[k].to_complex()) == _bits(w_oracle(z[k]).to_complex())
+        assert got[core._BLOCK].to_complex() == complex(np.inf, -0.0)
+
+    @pytest.mark.parametrize("f, z", [
+        (core.w_plane, complex(1.0, -np.inf)),
+        (core.w_plane, complex(-np.inf, -np.inf)),
+        (core.w_plane, np.array([complex(0.0, -np.inf), complex(1e-300, -np.inf)])),
+        (w_oracle, complex(1.0, -np.inf)),
+    ])
+    def test_off_axis_refused(self, f, z):
+        with pytest.raises(DomainError):
+            f(z)
+
+
 def _bits(a):
     return np.ascontiguousarray(a).view(np.uint8).tobytes()
 
@@ -693,6 +740,26 @@ class TestBlocks:
         assert _bits(out) == _bits(pieces)
         singles = np.array([core.w_plane(complex(v), 11) for v in z[edge]])
         assert _bits(out[edge]) == _bits(singles)
+
+    @pytest.mark.parametrize("f", [
+        core.erfc_c, core.erf_c, core.erfcx_c, reference.zaghloul_eval, oracle.w_ref,
+    ])
+    def test_functions_match_pieces(self, f):
+        # each runs a _BLOCK loop, _evaluate's or its own (zaghloul_eval, which
+        # takes the first quadrant); w_ref gives a DDComplex
+        z = self._mixed(2 * self.B + 3)
+        if f is reference.zaghloul_eval:
+            z = np.abs(z.real) + 1j * np.abs(z.imag)
+
+        def words(v):
+            if isinstance(v, DDComplex):
+                return [v.re.hi, v.re.lo, v.im.hi, v.im.lo]
+            return [v.real, v.imag]
+
+        cuts = [0, 1, self.B - 1, self.B + 2, z.size]
+        pieces = [words(f(z[a:b])) for a, b in zip(cuts, cuts[1:])]
+        for whole, parts in zip(words(f(z)), zip(*pieces)):
+            assert _bits(whole) == _bits(np.concatenate(parts))
 
     def test_shapes(self):
         z = self._mixed(7 * (2 * self.B // 7 + 5)).reshape(-1, 7)
@@ -791,8 +858,8 @@ class TestDerived:
         assert core.voigt_kl(1.0, np.inf, 11) == (0.0, 0.0)
         k, l = core.voigt_kl(np.array([-np.inf, -2.0, 0.0, 3.0]), np.inf, 11)
         assert not np.any(k) and not np.any(l)
-        # w(-i inf) has the limit inf along the real axis of erfcx, where the
-        # phase is 0; off that axis e^{-z^2} has an infinite modulus and no phase
+        # erfcx(-inf) is w's limit at -0 - i inf (TestMinusIInf); off the real
+        # axis of erfcx e^{-z^2} has an infinite modulus and no phase there
         assert core.erfcx_c(-np.inf, 11) == np.inf
         assert core.erfcx_c(complex(-np.inf, -0.0), 11) == np.inf
         with pytest.raises(DomainError):
