@@ -118,15 +118,16 @@ def cmd_bench(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    n = args.n
+    h = core.step_size(n)  # refuses the order before anything is printed
     c = bounds.constants()
     print(f"c_a    = {c.c_a:.10g}")
     print(f"c_r    = {c.c_r:.10g}")
     print(f"c_star = {c.c_star:.10g}")
     print(f"C1     = {c.big_c1:.10g}")
     print(f"C2     = {c.big_c2:.10g}")
-    n = args.n
     trap, trunc = bounds.component_bounds(n)
-    print(f"n = {n}: h = {core.step_size(n):.10g}")
+    print(f"n = {n}: h = {h:.10g}")
     print(f"  abs_bound = {bounds.abs_bound(n):.6e}")
     print(f"  rel_bound = {bounds.rel_bound(n):.6e}")
     print(f"  components: rule = {trap:.6e}, truncation = {trunc:.6e}")

@@ -49,13 +49,10 @@ class BranchTag(enum.Enum):
 
 
 class DDParams(NamedTuple):
-    """The constants of order N in double-double, as EvalParams.dd holds
-    them: ``mid`` and ``trap`` are the arrays (node^2, e^{-node^2},
-    (2h/pi) e^{-node^2}) of the midpoint and the trapezoidal nodes, k = N
-    first, and c = (2h/pi) sum_k e^{-t_k^2} is summed in that order."""
+    """The constants of order N in double-double, in EvalParams' layout:
+    ``mid`` and ``trap`` are the arrays (node^2, (2h/pi) e^{-node^2}), k = N
+    first, and c is dd_sum of the midpoint weights, as _laurent_coeffs' mu_0."""
 
-    h: DD
-    two_h_over_pi: DD
     h_over_pi: DD
     pi_over_h: DD
     mid: tuple
@@ -66,12 +63,12 @@ class DDParams(NamedTuple):
 class EvalParams(NamedTuple):
     """The constants of the rules of order N, built once per order by _params.
 
-    ``dd`` holds them in double-double; every binary64 field is the leading
+    ``dd`` holds them in double-double; every binary64 constant is the leading
     word of its double-double value, the constant correctly rounded.
     ``mid`` and ``trap`` hold the pairs (node^2, (2h/pi) e^{-node^2}) of the
     midpoint nodes t_k = (k+1/2)h, k = N..0, and the trapezoidal nodes
     tau_k = kh, k = N..1, in the order the node sum takes them; ``c`` is the
-    far-field constant (2h/pi) sum_k e^{-t_k^2}.
+    far-field constant (2h/pi) sum_k e^{-t_k^2}, the Laurent series' mu_0.
     """
 
     n: int
@@ -94,8 +91,7 @@ def _params(n) -> EvalParams:
 
 @functools.lru_cache(maxsize=None)
 def _order_constants(n: int) -> EvalParams:
-    """The constants of order n in double-double, and their leading words;
-    c is summed term by term, k = N first."""
+    """The constants of order n in double-double, and their leading words."""
     pi = DD.from_pair(PI)
     h = dd_sqrt(pi / float(n + 1))
     two_h_over_pi = (h * 2.0) / pi
@@ -103,16 +99,12 @@ def _order_constants(n: int) -> EvalParams:
     def nodes(k):
         t = h * k
         t2 = t * t
-        e = dd_exp(-t2)
-        return t2, e, e * two_h_over_pi
+        return t2, dd_exp(-t2) * two_h_over_pi
 
     mid = nodes(np.arange(n, -1, -1) + 0.5)
     trap = nodes(np.arange(n, 0, -1, dtype=np.float64))
-    c = mid[1][0]
-    for k in range(1, n + 1):
-        c = c + mid[1][k]
-    dd = DDParams(h, two_h_over_pi, h / pi, dd_sqrt(pi * float(n + 1)), mid, trap, c * two_h_over_pi)
-    mid, trap = (tuple(zip(t2.hi.tolist(), w.hi.tolist())) for t2, _, w in (mid, trap))
+    dd = DDParams(h / pi, dd_sqrt(pi * float(n + 1)), mid, trap, dd_sum(mid[1]))
+    mid, trap = (tuple(zip(t2.hi.tolist(), w.hi.tolist())) for t2, w in (mid, trap))
     return EvalParams(
         n, float(h.hi), float(dd.h_over_pi.hi), float(dd.pi_over_h.hi), mid, trap, float(dd.c.hi), dd
     )
@@ -358,7 +350,7 @@ def _maclaurin_coeffs(n: int) -> tuple:
         even.append(1.0 / math.factorial(len(even) + 1))
 
     pi_over_h = p.dd.pi_over_h
-    t2, _, e = p.dd.mid
+    t2, e = p.dd.mid
     pi2 = pi_over_h * pi_over_h
     tan = [Fraction(0), Fraction(1)]  # tan u = sum_k tan[k] u^k
     pi_pows = [pi_over_h]  # (pi/h)^{2j+1}, j = 0..m
@@ -423,7 +415,7 @@ def _laurent_coeffs(n: int, trap: bool) -> tuple:
     at N <= 25).
     """
     p = _params(n)
-    t2, _, e = p.dd.trap if trap else p.dd.mid
+    t2, e = p.dd.trap if trap else p.dd.mid
     if not t2.hi.size:  # the trapezoidal sum of order 0 is ih/(pi z)
         return (p.h_over_pi,)
     c = []
@@ -734,19 +726,25 @@ def erfcx_c(z, n: int = DEFAULT_N):
     return _evaluate(_times_i(z), _params(n))
 
 
+def _real(name, *args):
+    """args as float64 arrays; complex ones, whose cast drops Im, are refused."""
+    if any(np.iscomplexobj(a) for a in args):
+        raise DomainError(f"{name} takes real arguments, got a complex one")
+    return [np.asarray(a, dtype=np.float64) for a in args]
+
+
 def dawson_real(x, n: int = DEFAULT_N):
     """Dawson's integral for real x: (sqrt(pi)/2) Im w(x).
 
     It is odd in x exactly, as w(-x) = conj w(x) bit for bit.
     """
-    w = w_plane(_by_parts(np.asarray(x, dtype=np.float64), 0.0), n)
+    w = w_plane(_by_parts(*_real("dawson", x), 0.0), n)
     return (math.sqrt(math.pi) / 2.0) * w.imag
 
 
 def voigt_kl(x, y, n: int = DEFAULT_N):
     """Voigt line-shape pair (K, L) = (Re w(x+iy), Im w(x+iy)), y > 0."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    x, y = _real("voigt", x, y)
     if np.any(y <= 0):
         raise ParameterError("voigt_kl requires y > 0")
     w = w_plane(_by_parts(x, y), n)

@@ -6,7 +6,8 @@ it runs the binary64 evaluator's own dispatch and reflection code
 and the reflection's e^{-z^2} in double-double. That gives absolute errors
 below 3.5e-28 (relative below 9.4e-27 in the upper half-plane). Its
 constants are the double-double values of core's one table of order
-constants (`EvalParams.dd`), whose leading words binary64 reads.
+constants (`EvalParams.dd`), whose leading words binary64 reads: the same
+pairs (t_k^2, (2h/pi) e^{-t_k^2}), summed in the same form.
 `erfc_oracle` is `core._erfc`, erfc's one policy (fold, infinite-Re limits,
 imaginary-axis rule), run in double-double at order 20. The tests certify
 `w_oracle` against an independent Gauss-Legendre quadrature of the Cauchy
@@ -56,30 +57,29 @@ def _exp_neg_z2_at(z):
     return _exp_neg_z2_dd(_z2_dd(z.real, z.imag))
 
 
-def _pole_sum_dd(x, y, sq, nodes, two_h_over_pi):
-    """(2ihz/pi) sum_k e_k/(z^2 - node_k^2) over the arrays ``nodes`` =
-    (node_k^2, e_k, ...), in their order.
-
-    With z^2 = A + iB and a_k = A - node_k^2, each term is
-    e_k (a_k - iB)/(a_k^2 + B^2), so the sum is S1 - iB S0 for the
-    real sums S0 = sum e_k/|d_k|^2 and S1 = sum e_k a_k/|d_k|^2.
-    """
+def _pole_sum_dd(x, y, sq, nodes):
+    """(2ihz/pi) sum_k e_k/(z^2 - t_k^2) over the table ``nodes`` = (t_k^2,
+    e_k), e_k = (2h/pi) e^{-t_k^2}, in its order, as binary64's _pole_sum
+    and _times_iz form it: with z^2 = A + iB and a_k = A - t_k^2, the real
+    sums S0 = sum e_k/|d_k|^2 and S1 = sum e_k a_k/|d_k|^2 give
+    iz (S1 - iB S0), with S0 B formed first and x, y multiplied last."""
     z2 = sq[0]
     b2 = z2.im * z2.im
     s0 = DD(np.zeros(x.shape))
     s1 = DD(np.zeros(x.shape))
-    t2, e = nodes[:2]
+    t2, e = nodes
     for k in range(t2.hi.size):
         a = z2.re - t2[k]
         s = e[k] / (a * a + b2)
         s0 = s0 + s
         s1 = s1 + s * a
-    # prefactor (2ih/pi) z = (2h/pi)(-y + ix)
-    return DDComplex(two_h_over_pi * (-y), two_h_over_pi * x) * DDComplex(s1, -(z2.im * s0))
+    # iz (S1 - iQ) = (xQ - yS1) + i(xS1 + yQ)
+    q = s0 * z2.im
+    return DDComplex(q * x - s1 * y, s1 * x + q * y)
 
 
 def _mid_sum_dd(x, y, sq, p: core.EvalParams):
-    return _pole_sum_dd(x, y, sq, p.dd.mid, p.dd.two_h_over_pi)
+    return _pole_sum_dd(x, y, sq, p.dd.mid)
 
 
 def _trap_sum_dd(x, y, sq, p: core.EvalParams):
@@ -88,7 +88,7 @@ def _trap_sum_dd(x, y, sq, p: core.EvalParams):
     # ih/(pi z) = (h/pi) (y + ix)/|z|^2
     r2 = x2 + y2
     extra = DDComplex((h_over_pi * y) / r2, (h_over_pi * x) / r2)
-    return _pole_sum_dd(x, y, sq, p.dd.trap, p.dd.two_h_over_pi) + extra
+    return _pole_sum_dd(x, y, sq, p.dd.trap) + extra
 
 
 def _corrections_dd(x, y, sq, p: core.EvalParams, tag):
@@ -102,10 +102,8 @@ def _corrections_dd(x, y, sq, p: core.EvalParams, tag):
 
 
 def _w_q1_dd(x, y, p: core.EvalParams, tag: BranchTag):
-    """The part ``tag`` of the dispatch on its upper half-plane points
-    x + iy, double-double throughout."""
-    if tag is BranchTag.FAR:
-        return _far_dd(x, y, p)
+    """The rule ``tag`` (M, MT or MM) on its upper half-plane points x + iy,
+    double-double throughout."""
     sq = _z2_dd(x, y)
     w = _trap_sum_dd(x, y, sq, p) if tag is BranchTag.MT else _mid_sum_dd(x, y, sq, p)
     return core._add_correction(
@@ -122,11 +120,12 @@ def _far_dd(x, y, p: core.EvalParams) -> DDComplex:
     return DDComplex(*(DD(np.ldexp(r.hi, -e), np.ldexp(r.lo, -e)) for r in (s * v, s * u)))
 
 
-#: core's dispatch in double-double, one part per branch; _w_q1_dd is read
-#: per call, so that a wrapper bound to its name sees it
-_DD = core._Arithmetic(DDComplex.zeros, lambda x, y, p, masks: (
-    (sel, functools.partial(_w_q1_dd, p=p, tag=tag)) for tag, sel in zip(BranchTag, masks)
-), _exp_neg_z2_at, lambda w: (w.im.hi, w.im.lo))
+#: core's dispatch in double-double, one part per branch: the rules by _w_q1_dd
+#: and FAR by _far_dd, each read per call, so that a wrapper bound to it sees it
+_DD = core._Arithmetic(DDComplex.zeros, lambda x, y, p, masks: [
+    *((sel, functools.partial(_w_q1_dd, p=p, tag=tag)) for tag, sel in zip(BranchTag, masks[:3])),
+    (masks[3], functools.partial(_far_dd, p=p)),
+], _exp_neg_z2_at, lambda w: (w.im.hi, w.im.lo))
 
 
 def w_ref(z, n: int = ORACLE_N) -> DDComplex:

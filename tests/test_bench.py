@@ -328,6 +328,13 @@ class TestCli:
         assert r.returncode == 0
         assert "4.933826788" in r.stdout and "0.6691903304" in r.stdout
 
+    @pytest.mark.parametrize("n", ["26", "-1"])
+    def test_bounds_bad_order_exit_2(self, n):
+        # the order is refused before any constant is printed
+        r = run_cli("bounds", "--n", n)
+        assert r.returncode == 2 and "order" in r.stderr
+        assert r.stdout == ""
+
     SMALL_FLAGS = ("--p-min", "-3", "--p-max", "3", "--p-step", "0.05", "--theta-count", "41")
 
     def test_sweep_check_ok(self, tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import faddeeva
 from faddeeva import core, oracle, reference
 from faddeeva.bounds import abs_bound
-from faddeeva.ddouble import DD, PI, DDComplex, dd_exp, dd_sqrt
+from faddeeva.ddouble import DD, PI, DDComplex, dd_exp, dd_sqrt, dd_sum
 from faddeeva.errors import DomainError, ParameterError
 from faddeeva.oracle import erfc_oracle, w_oracle
 
@@ -34,15 +34,15 @@ class TestStepSize:
         assert core.step_size(20) == pytest.approx(0.3867811399, abs=1e-10)
 
     def test_single_rounding(self):
-        # h, h/pi and pi/h are the leading words of their double-double values
-        # and each the single rounding of the exact constant
+        # h, h/pi and pi/h are each the single rounding of the exact
+        # constant, h/pi and pi/h the leading words of their double-double values
         mp = pytest.importorskip("mpmath")
         with mp.workdps(50):
             for n in range(core.N_MAX + 1):
                 p, dd = core._params(n), core._params(n).dd
                 assert core.step_size(n) == p.h
                 h = mp.sqrt(mp.pi / (n + 1))
-                assert_leading_word(mp, p.h, dd.h, h)
+                assert abs(mp.mpf(p.h) - h) <= mp.mpf(np.spacing(p.h)) / 2
                 assert_leading_word(mp, p.h_over_pi, dd.h_over_pi, h / mp.pi)
                 assert_leading_word(mp, p.pi_over_h, dd.pi_over_h, mp.pi / h)
 
@@ -69,7 +69,7 @@ class TestEvalParams:
                 h = mp.sqrt(mp.pi / (n + 1))
                 mid = [k + mp.mpf(0.5) for k in range(n, -1, -1)]
                 trap = [mp.mpf(k) for k in range(n, 0, -1)]
-                for pairs, (t2_dd, e_dd, w_dd), ks in ((p.mid, dd.mid, mid), (p.trap, dd.trap, trap)):
+                for pairs, (t2_dd, w_dd), ks in ((p.mid, dd.mid, mid), (p.trap, dd.trap, trap)):
                     assert len(pairs) == len(ks)
                     for j, ((t2, w), k) in enumerate(zip(pairs, ks)):
                         assert_leading_word(mp, t2, t2_dd[j], (k * h) ** 2)
@@ -87,17 +87,28 @@ class TestEvalParams:
             return (a.hi, a.lo) == (b.hi, b.lo)
 
         def scalar_nodes(ks):
-            return [(tk * tk, dd_exp(-(tk * tk))) for tk in (h * k for k in ks)]
+            return [(tk * tk, dd_exp(-(tk * tk)) * ((h * 2.0) / pi)) for tk in (h * k for k in ks)]
 
         mid = scalar_nodes([k + 0.5 for k in range(n, -1, -1)])
         trap = scalar_nodes([float(k) for k in range(n, 0, -1)])
-        for (t2, e, w), pairs in ((dd.mid, mid), (dd.trap, trap)):
+        for table, pairs in ((dd.mid, mid), (dd.trap, trap)):
+            # (t^2, (2h/pi) e^{-t^2}) and nothing else
+            assert len(table) == 2
+            t2, w = table
             assert t2.hi.size == len(pairs)
-            for j, (t2_k, e_k) in enumerate(pairs):
-                assert same(t2[j], t2_k) and same(e[j], e_k)
-                assert same(w[j], e_k * ((h * 2.0) / pi))
-        c = sum((e for _, e in mid[1:]), mid[0][1]) * ((h * 2.0) / pi)
-        assert same(dd.c, c)
+            for j, (t2_k, w_k) in enumerate(pairs):
+                assert same(t2[j], t2_k) and same(w[j], w_k)
+        weights = DD(np.array([w.hi for _, w in mid]), np.array([w.lo for _, w in mid]))
+        assert same(dd.c, dd_sum(weights))
+
+    def test_far_constant_is_first_moment(self):
+        # c = mu_0 in both words: FAR's i c/z is the first term of the
+        # midpoint rules' Laurent series, summed alike
+        for n in range(core.N_MAX + 1):
+            p = core._params(n)
+            assert p.c == core._laurent_coeffs(n, False)[0]
+            mu0 = dd_sum(p.dd.mid[1])
+            assert (p.dd.c.hi, p.dd.c.lo) == (mu0.hi, mu0.lo), n
 
     def test_cached(self):
         assert core._params(7) is core._params(7) is core._params(np.int64(7))
@@ -147,13 +158,14 @@ class TestOrderArgument:
         assert "EvalParams" not in faddeeva.__all__
 
 
-def rule(x, y, p, tag):
-    """The part ``tag`` of binary64's dispatch of order p.n forced at every
-    point x + iy, through _parts and _partition: the rule, or where _parts
-    routes a point to one, the rule's series, or FAR's i c/z."""
+def rule(x, y, p, tag, arith=core._BINARY64):
+    """The part ``tag`` of the dispatch of order p.n in ``arith`` forced at
+    every point x + iy, through its parts and _partition: the rule, or where
+    binary64's _parts routes a point to one, the rule's series, or FAR's
+    i c/z."""
     masks = [np.full(x.shape, t is tag) for t in core.BranchTag]
-    out = np.empty(x.shape, dtype=np.complex128)
-    core._partition(x, y, core._parts(x, y, p, masks), out)
+    out = arith.empty(x.shape)
+    core._partition(x, y, arith.parts(x, y, p, masks), out)
     return out
 
 
@@ -192,7 +204,7 @@ class TestMidSum:
         far = np.array([1e25 + 1j, 1e300 + 1e290j, complex(np.inf, 2.0)])
         arithmetics = [
             (P11, rule, lambda w: (w.real, w.imag)),
-            (core._params(oracle.ORACLE_N), oracle._w_q1_dd,
+            (core._params(oracle.ORACLE_N), lambda *a: rule(*a, arith=oracle._DD),
              lambda w: (w.re.hi, w.re.lo, w.im.hi, w.im.lo)),
         ]
         for p, rule_, words in arithmetics:
@@ -916,6 +928,21 @@ class TestDerived:
     def test_voigt_domain(self):
         with pytest.raises(ParameterError):
             core.voigt_kl(1.0, 0.0, 11)
+
+    @pytest.mark.parametrize("name, args", [
+        ("voigt", (np.array([1 + 5j]), 1.0)),
+        ("voigt", (1.0, np.array([1 + 5j]))),
+        ("voigt", (1 + 1j, 1)),
+        ("voigt", (1.0, [0.5 + 0j])),
+        ("dawson", (np.array([1, 2j]),)),
+        ("dawson", (1 + 1j,)),
+        ("dawson", (np.complex64(1),)),
+    ])
+    def test_complex_arguments_refused(self, name, args):
+        # a cast to float64 would drop the imaginary part, and dawson(1 + 1j)
+        # or voigt(1 + 1j, 1) would fail in the cast with a bare TypeError
+        with pytest.raises(DomainError, match=name):
+            getattr(faddeeva, name)(*args)
 
 
 class TestRealAxisIdentity:
